@@ -2,7 +2,7 @@
 //! checks the outputs, and prints every metric by name with its unit.
 //!
 //! ```text
-//! perfbench --workload <chat_poisson|prefix_pool|offline_int8>
+//! perfbench --workload <prefix_pool|offline_int8>
 //!           --seed <n> --seconds <s> --trace <0|1>
 //! perfbench --selftest
 //! ```
@@ -22,7 +22,7 @@ mod serving;
 mod spans;
 
 use llmib_bench::harness::SloSpec;
-use llmib_types::stats::percentile;
+use llmib_types::stats::{p50, percentile};
 use llmib_types::{LatencySample, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,7 +48,7 @@ pub fn metric(name: &str, value: f64, unit: &'static str) -> Metric {
 
 /// Every per-layer metric with its unit. A traced run reports each one;
 /// a layer that is not on the workload's path reports 0.
-const PER_LAYER: [(&str, &str); 33] = [
+const PER_LAYER: [(&str, &str); 34] = [
     ("loadgen.late_p99_ms", "ms"),
     ("loadgen.sent", "count"),
     ("serve.client.submit_us_p99", "us"),
@@ -60,6 +60,7 @@ const PER_LAYER: [(&str, &str); 33] = [
     ("serve.server.decode_steps", "count"),
     ("serve.server.retries", "count"),
     ("serve.server.evictions", "count"),
+    ("serve.server.token_gap_ms_p95", "ms"),
     ("serve.spans.closure", "ratio"),
     ("serve.router.replica_skew", "ratio"),
     ("serve.router.migrations", "count"),
@@ -91,14 +92,25 @@ pub struct Limits {
     pub itl_s: f64,
 }
 
-/// The latency and throughput metrics every workload reports, from its
-/// completed requests (`samples`, TTFT counted from the due time), the
-/// gaps between consecutive tokens of each request, the number of
-/// requests sent, and the span from the first due time to the last
-/// finish.
+/// The requests of one stretch of a run: the TTFT of each, counted from
+/// its due time, and the gaps between its consecutive tokens, in seconds.
+#[derive(Debug, Default)]
+pub struct Window {
+    pub ttft: Vec<f64>,
+    pub gaps: Vec<f64>,
+}
+
+/// The latency and throughput metrics every workload reports.
+///
+/// Each TTFT and token-gap percentile is taken within each window and the
+/// run reports the median over windows, so a slow spell of the shared host
+/// that covers fewer than half the windows does not move it. Goodput,
+/// attainment and throughput count the completed requests (`samples`, TTFT
+/// counted from the due time) against the number sent, over the span from
+/// the first due time to the last finish.
 pub fn latency_metrics(
     samples: &[LatencySample],
-    gaps: &[f64],
+    windows: &[Window],
     sent: usize,
     span_s: f64,
     limits: Limits,
@@ -108,8 +120,14 @@ pub fn latency_metrics(
         Some(Seconds(limits.itl_s)),
         1.0,
     );
-    let ttft: Vec<f64> = samples.iter().map(|s| s.ttft.value() * 1e3).collect();
-    let gaps: Vec<f64> = gaps.iter().map(|g| g * 1e3).collect();
+    let median_ms = |of: &dyn Fn(&Window) -> &Vec<f64>, pct: f64| -> f64 {
+        let per_window: Vec<f64> = windows
+            .iter()
+            .filter(|w| !of(w).is_empty())
+            .map(|w| percentile(of(w), pct) * 1e3)
+            .collect();
+        p50(&per_window)
+    };
     let tokens = |keep: &dyn Fn(&LatencySample) -> bool| -> f64 {
         samples
             .iter()
@@ -120,10 +138,8 @@ pub fn latency_metrics(
     let attaining = samples.iter().filter(|s| slo.attains(s)).count();
     let span_s = span_s.max(f64::MIN_POSITIVE);
     vec![
-        metric("ttft_p50_ms", percentile(&ttft, 50.0), "ms"),
-        metric("ttft_p90_ms", percentile(&ttft, 90.0), "ms"),
-        metric("itl_p50_ms", percentile(&gaps, 50.0), "ms"),
-        metric("itl_p95_ms", percentile(&gaps, 95.0), "ms"),
+        metric("ttft_p50_ms", median_ms(&|w| &w.ttft, 50.0), "ms"),
+        metric("itl_p50_ms", median_ms(&|w| &w.gaps, 50.0), "ms"),
         metric(
             "goodput_tok_s",
             tokens(&|s| slo.attains(s)) / span_s,
@@ -164,21 +180,15 @@ impl RunResult {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
-    ChatPoisson,
     PrefixPool,
     OfflineInt8,
 }
 
 impl Workload {
-    pub const ALL: [Workload; 3] = [
-        Workload::ChatPoisson,
-        Workload::PrefixPool,
-        Workload::OfflineInt8,
-    ];
+    pub const ALL: [Workload; 2] = [Workload::PrefixPool, Workload::OfflineInt8];
 
     pub fn name(self) -> &'static str {
         match self {
-            Workload::ChatPoisson => "chat_poisson",
             Workload::PrefixPool => "prefix_pool",
             Workload::OfflineInt8 => "offline_int8",
         }
@@ -194,7 +204,7 @@ impl Workload {
 pub struct Scale {
     /// Set-ups per run; `setup_s` is their median.
     pub setups: usize,
-    /// Requests each set-up sends through a throwaway server (or session)
+    /// Requests each set-up sends through a throwaway pool (or session)
     /// before the measured one starts.
     pub warmup_requests: usize,
     /// Sequences per closed offline batch.
@@ -204,7 +214,7 @@ pub struct Scale {
 }
 
 const FULL: Scale = Scale {
-    setups: 5,
+    setups: 9,
     warmup_requests: 8,
     offline_batch: 32,
     replay_sample: 6,
@@ -220,9 +230,7 @@ const TINY: Scale = Scale {
 /// One pass of `workload`; `traced` selects the per-layer metrics.
 fn run_pass(workload: Workload, seed: u64, seconds: f64, traced: bool, scale: Scale) -> RunResult {
     match workload {
-        Workload::ChatPoisson | Workload::PrefixPool => {
-            serving::run(workload, seed, seconds, traced, scale)
-        }
+        Workload::PrefixPool => serving::run(seed, seconds, traced, scale),
         Workload::OfflineInt8 => offline::run(seed, seconds, traced, scale),
     }
 }
@@ -378,7 +386,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("perfbench: {e}");
             eprintln!(
-                "usage: perfbench --workload <chat_poisson|prefix_pool|offline_int8> \
+                "usage: perfbench --workload <prefix_pool|offline_int8> \
                  --seed <n> --seconds <s> --trace <0|1> | --selftest"
             );
             return ExitCode::from(2);

@@ -5,7 +5,9 @@
 use crate::layers::{self, StepShape};
 use crate::serving::WARMUP_SEED;
 use crate::spans::{self, Span};
-use crate::{latency_metrics, metric, peak_rss_mib, seeded_sample, Limits, RunResult, Scale};
+use crate::{
+    latency_metrics, metric, peak_rss_mib, seeded_sample, Limits, RunResult, Scale, Window,
+};
 use llmib_engine::{BatchSession, EngineConfig, QuantMode, Sampler, TransformerModel};
 use llmib_models::ModelId;
 use llmib_serve::deterministic_prompt_for;
@@ -232,9 +234,19 @@ pub fn run(seed: u64, seconds: f64, traced: bool, scale: Scale) -> RunResult {
             }
         })
         .collect();
-    let gaps: Vec<f64> = seqs
-        .iter()
-        .flat_map(|s| s.token_at.windows(2).map(|w| w[1] - w[0]))
+    // Each batch is a window of its own.
+    let windows: Vec<Window> = seqs
+        .chunks(scale.offline_batch)
+        .map(|batch| Window {
+            ttft: batch
+                .iter()
+                .filter_map(|s| s.token_at.first().copied())
+                .collect(),
+            gaps: batch
+                .iter()
+                .flat_map(|s| s.token_at.windows(2).map(|w| w[1] - w[0]))
+                .collect(),
+        })
         .collect();
     let mut out = RunResult {
         correct,
@@ -244,8 +256,13 @@ pub fn run(seed: u64, seconds: f64, traced: bool, scale: Scale) -> RunResult {
     };
     if !traced {
         out.metrics = vec![metric("setup_s", p50(&setup_s), "s")];
-        out.metrics
-            .extend(latency_metrics(&samples, &gaps, seqs.len(), wall_s, LIMITS));
+        out.metrics.extend(latency_metrics(
+            &samples,
+            &windows,
+            seqs.len(),
+            wall_s,
+            LIMITS,
+        ));
         out.metrics.extend([
             metric("prefill_tok_s", prefill_tok_s, "tok/s"),
             metric("decode_tok_s", decode_tok_s, "tok/s"),

@@ -1,18 +1,17 @@
-//! The two serving workloads: open-loop Poisson arrivals from one
-//! generator thread into a live `Server` (`chat_poisson`) or a
-//! two-replica `ReplicaPool` (`prefix_pool`).
+//! `prefix_pool`: open-loop Poisson arrivals from one generator thread
+//! into a live two-replica `ReplicaPool`, most prompts sharing one of a
+//! few long system prompts.
 
 use crate::layers::{self, StepShape};
 use crate::spans::{self, Span};
 use crate::{
-    latency_metrics, metric, peak_rss_mib, seeded_sample, Limits, Metric, RunResult, Scale,
-    Workload,
+    latency_metrics, metric, peak_rss_mib, seeded_sample, Limits, Metric, RunResult, Scale, Window,
 };
 use llmib_engine::{EngineConfig, QuantMode, TransformerModel};
 use llmib_models::ModelId;
 use llmib_serve::{
-    deterministic_prompt_for, replay_admission_order, Client, PoolConfig, ReplicaPool,
-    RequestHandle, RequestMetrics, ServeConfig, ServeEvent, ServeReport, Server, SubmitOptions,
+    replay_admission_order, Client, PoolConfig, PoolReport, ReplicaPool, RequestHandle,
+    RequestMetrics, ServeEvent, ServeReport, SubmitOptions,
 };
 use llmib_types::stats::{p50, percentile};
 use llmib_types::{LatencySample, Request, Seconds};
@@ -27,13 +26,13 @@ use std::time::{Duration, Instant};
 /// 4-layer GQA model (4 query heads, 1 KV head, 513-token vocabulary).
 const HIDDEN: usize = 32;
 const MODEL_SEED: u64 = 7;
-/// Raised from `scaled_from`'s 512 so the longest Chat request (1024
-/// prompt + 768 output tokens) fits.
-const MAX_SEQ: usize = 2048;
+/// Raised from `scaled_from`'s 512 so a sharing request (544 prompt + 32
+/// output tokens) fits.
+const MAX_SEQ: usize = 1024;
 
-/// `prefix_pool` prompts: one of `SYSTEM_PROMPTS` system prompts of
-/// `SYSTEM_TOKENS` tokens (with probability `SHARE`), then a random
-/// suffix of `SUFFIX_TOKENS`; each request generates `SUFFIX_TOKENS`.
+/// Prompts: one of `SYSTEM_PROMPTS` system prompts of `SYSTEM_TOKENS`
+/// tokens (with probability `SHARE`), then a random suffix of
+/// `SUFFIX_TOKENS`; each request generates `SUFFIX_TOKENS`.
 const SYSTEM_PROMPTS: usize = 4;
 const SYSTEM_TOKENS: u32 = 512;
 const SUFFIX_TOKENS: u32 = 32;
@@ -42,38 +41,30 @@ const SHARE: f64 = 0.9;
 /// Seed of the warm-up burst, fixed so every set-up does the same work.
 pub const WARMUP_SEED: u64 = 0x3a7e_0001;
 
-/// Fixed per-workload arrival rate and latency limits. The limits were
-/// set once, at about twice the p90 TTFT and the p99 token gap that runs
-/// of this benchmark showed, in the host's slow phases, on the commit that
-/// introduced it; they are never derived from the run being scored.
-struct Spec {
-    pool: bool,
-    rate_per_s: f64,
-    ttft_limit_s: f64,
-    itl_limit_s: f64,
-}
-
-fn spec(workload: Workload) -> Spec {
-    match workload {
-        Workload::ChatPoisson => Spec {
-            pool: false,
-            rate_per_s: 3.5,
-            ttft_limit_s: 0.400,
-            itl_limit_s: 0.004,
-        },
-        _ => Spec {
-            pool: true,
-            rate_per_s: 60.0,
-            ttft_limit_s: 0.040,
-            itl_limit_s: 0.005,
-        },
-    }
-}
+/// Fixed arrival rate. At twice this rate the TTFT and token-gap tails
+/// doubled whenever the host lent more than a third of its CPU time to
+/// other tenants; at this rate they moved far less.
+const RATE_PER_S: f64 = 20.0;
+/// Latency percentiles are taken per window of this many seconds of due
+/// times, and the run reports their median.
+const WINDOW_S: f64 = 5.0;
+/// Fixed latency limits, set once at about twice the p90 TTFT and the p99
+/// token gap that runs of this benchmark showed in the host's slow phases;
+/// never derived from the run being scored.
+const LIMITS: Limits = Limits {
+    ttft_s: 0.040,
+    itl_s: 0.005,
+};
 
 fn build_model() -> TransformerModel {
     let mut cfg = EngineConfig::scaled_from(ModelId::Llama3_8b, HIDDEN, MODEL_SEED);
     cfg.max_seq = MAX_SEQ;
     TransformerModel::with_quant(cfg, QuantMode::F32).expect("the serving model config is valid")
+}
+
+fn start_pool(model: &Arc<TransformerModel>) -> ReplicaPool {
+    ReplicaPool::start(Arc::clone(model), PoolConfig::default())
+        .expect("default pool config is valid")
 }
 
 /// A trace entry with the exact prompt the engine will see.
@@ -87,141 +78,89 @@ fn system_prompt(k: usize, len: usize, vocab: usize) -> Vec<usize> {
     (0..len).map(|j| (j * 13 + 7 + 101 * k) % vocab).collect()
 }
 
-/// `n` requests of `workload` arriving at `rate`, fully determined by
-/// `seed`.
-fn prepare(workload: Workload, n: usize, rate: f64, seed: u64, vocab: usize) -> Vec<Prepared> {
-    let mut reqs = shapes(workload, n, rate, seed, vocab);
-    // Condition the Poisson process on its n-th arrival landing at n/rate,
-    // so every seed offers the same load over the same window; otherwise
-    // the window alone varies by 1/sqrt(n) between seeds.
-    let last = reqs.last().map_or(0.0, |p| p.req.arrival.value());
-    if last > 0.0 {
-        let stretch = n as f64 / rate / last;
-        for p in &mut reqs {
-            p.req.arrival = Seconds(p.req.arrival.value() * stretch);
-        }
+/// `n` requests arriving at `rate`, fully determined by `seed`.
+///
+/// `deterministic_prompt_for` gives every sharer the same prefix and
+/// repeats its suffixes every `vocab` ids, so the prompts are built here:
+/// one of several system prompts with Zipf(1) popularity, then a random
+/// suffix.
+///
+/// The arrival gaps are stratified: each drawn gap is replaced by the
+/// middle of the stratum of the exponential distribution that its rank
+/// within the trace falls in. Every seed thus offers the same gaps over the
+/// same window, in its own order; drawn independently, the window alone
+/// varies by 1/sqrt(n) between seeds and the gap mix moves the TTFT tail.
+fn prepare(n: usize, rate: f64, seed: u64, vocab: usize) -> Vec<Prepared> {
+    let prefix = SharedPrefix {
+        tokens: SYSTEM_TOKENS,
+        share: SHARE,
+    };
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5157_e3a1);
+    let weights: Vec<f64> = (1..=SYSTEM_PROMPTS).map(|k| 1.0 / k as f64).collect();
+    let total: f64 = weights.iter().sum();
+    let mut reqs: Vec<Prepared> = TrafficProfile::Square { len: SUFFIX_TOKENS }
+        .trace_with_prefix(n, rate, seed, prefix)
+        .into_iter()
+        .map(|req| {
+            let shared = req.shared_prefix_tokens as usize;
+            let mut prompt = Vec::with_capacity(req.prompt_tokens as usize);
+            if shared > 0 {
+                let mut u = rng.gen_range(0.0..total);
+                let k = weights
+                    .iter()
+                    .position(|w| {
+                        u -= w;
+                        u < 0.0
+                    })
+                    .unwrap_or(SYSTEM_PROMPTS - 1);
+                prompt.extend(system_prompt(k, shared, vocab));
+            }
+            while prompt.len() < req.prompt_tokens as usize {
+                prompt.push(rng.gen_range(0..vocab));
+            }
+            Prepared { req, prompt }
+        })
+        .collect();
+    let arrivals: Vec<f64> = reqs.iter().map(|p| p.req.arrival.value()).collect();
+    let gaps: Vec<f64> = arrivals
+        .iter()
+        .zip(std::iter::once(&0.0).chain(&arrivals))
+        .map(|(t, prev)| t - prev)
+        .collect();
+    let mut t = 0.0;
+    for (p, rank) in reqs.iter_mut().zip(ranks(&gaps)) {
+        let middle = (rank as f64 + 0.5) / n as f64;
+        t += -(1.0 - middle).ln() / rate;
+        p.req.arrival = Seconds(t);
     }
     reqs
 }
 
-fn shapes(workload: Workload, n: usize, rate: f64, seed: u64, vocab: usize) -> Vec<Prepared> {
-    match workload {
-        Workload::ChatPoisson => TrafficProfile::Chat
-            .trace(n, rate, seed)
-            .into_iter()
-            .map(|req| Prepared {
-                prompt: deterministic_prompt_for(&req, vocab),
-                req,
-            })
-            .collect(),
-        _ => {
-            // `deterministic_prompt_for` gives every sharer the same prefix
-            // and repeats its suffixes every `vocab` ids, so these prompts
-            // are built here: one of several system prompts with Zipf(1)
-            // popularity, then a random suffix.
-            let prefix = SharedPrefix {
-                tokens: SYSTEM_TOKENS,
-                share: SHARE,
-            };
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x5157_e3a1);
-            let weights: Vec<f64> = (1..=SYSTEM_PROMPTS).map(|k| 1.0 / k as f64).collect();
-            let total: f64 = weights.iter().sum();
-            TrafficProfile::Square { len: SUFFIX_TOKENS }
-                .trace_with_prefix(n, rate, seed, prefix)
-                .into_iter()
-                .map(|req| {
-                    let shared = req.shared_prefix_tokens as usize;
-                    let mut prompt = Vec::with_capacity(req.prompt_tokens as usize);
-                    if shared > 0 {
-                        let mut u = rng.gen_range(0.0..total);
-                        let k = weights
-                            .iter()
-                            .position(|w| {
-                                u -= w;
-                                u < 0.0
-                            })
-                            .unwrap_or(SYSTEM_PROMPTS - 1);
-                        prompt.extend(system_prompt(k, shared, vocab));
-                    }
-                    while prompt.len() < req.prompt_tokens as usize {
-                        prompt.push(rng.gen_range(0..vocab));
-                    }
-                    Prepared { req, prompt }
-                })
-                .collect()
-        }
+/// The rank of each of `values` among them; ties keep their order.
+fn ranks(values: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..values.len()).collect();
+    order.sort_by(|&a, &b| values[a].total_cmp(&values[b]).then(a.cmp(&b)));
+    let mut rank = vec![0; values.len()];
+    for (r, i) in order.into_iter().enumerate() {
+        rank[i] = r;
     }
+    rank
 }
 
-/// A single server or a replica pool, behind the same `Client`.
-enum Endpoint {
-    Server(Server),
-    Pool(ReplicaPool),
-}
-
-/// What the runtime reported at shutdown: the aggregate books and each
-/// replica's own report (one entry for a single server).
-struct Books {
-    aggregate: ServeReport,
-    per_replica: Vec<ServeReport>,
-}
-
-impl Endpoint {
-    fn start(model: &Arc<TransformerModel>, pool: bool) -> Endpoint {
-        if pool {
-            Endpoint::Pool(
-                ReplicaPool::start(Arc::clone(model), PoolConfig::default())
-                    .expect("default pool config is valid"),
-            )
-        } else {
-            Endpoint::Server(
-                Server::start(Arc::clone(model), ServeConfig::default())
-                    .expect("default serve config is valid"),
-            )
-        }
-    }
-
-    fn client(&self) -> Client {
-        match self {
-            Endpoint::Server(s) => s.client(),
-            Endpoint::Pool(p) => p.client(),
-        }
-    }
-
-    fn shutdown(self) -> Books {
-        match self {
-            Endpoint::Server(s) => {
-                let r = s.shutdown();
-                Books {
-                    per_replica: vec![r.clone()],
-                    aggregate: r,
-                }
-            }
-            Endpoint::Pool(p) => {
-                let r = p.shutdown();
-                Books {
-                    aggregate: r.aggregate,
-                    per_replica: r.per_replica,
-                }
-            }
-        }
-    }
-}
-
-/// Prefill and decode a fixed burst through a throwaway endpoint, so the
+/// Prefill and decode a fixed burst through a throwaway pool, so the
 /// measured one starts in a warm process. The burst does not depend on
 /// the run's seed: every set-up does the same work.
-fn warm_up(model: &Arc<TransformerModel>, workload: Workload, pool: bool, n: usize) {
+fn warm_up(model: &Arc<TransformerModel>, n: usize) {
     let vocab = model.config().vocab;
-    let endpoint = Endpoint::start(model, pool);
-    let client = endpoint.client();
-    let handles: Vec<RequestHandle> = prepare(workload, n, 1.0, WARMUP_SEED, vocab)
+    let pool = start_pool(model);
+    let client = pool.client();
+    let handles: Vec<RequestHandle> = prepare(n, 1.0, WARMUP_SEED, vocab)
         .into_iter()
         .map(|p| {
-            let budget = (p.req.output_tokens as usize).min(64);
+            let budget = p.req.output_tokens as usize;
             client
                 .submit(p.prompt, SubmitOptions::greedy(budget))
-                .expect("an idle server accepts the warm-up burst")
+                .expect("an idle pool accepts the warm-up burst")
         })
         .collect();
     for h in handles {
@@ -230,7 +169,7 @@ fn warm_up(model: &Arc<TransformerModel>, workload: Workload, pool: bool, n: usi
             "warm-up request did not complete"
         );
     }
-    endpoint.shutdown();
+    pool.shutdown();
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -372,30 +311,29 @@ fn ms(s: f64) -> f64 {
     s * 1e3
 }
 
-pub fn run(workload: Workload, seed: u64, seconds: f64, traced: bool, scale: Scale) -> RunResult {
-    let spec = spec(workload);
-    let n = ((spec.rate_per_s * seconds).round() as usize).max(1);
+pub fn run(seed: u64, seconds: f64, traced: bool, scale: Scale) -> RunResult {
+    let n = ((RATE_PER_S * seconds).round() as usize).max(1);
 
-    // Set-up, several times; the last model and endpoint are measured.
+    // Set-up, several times; the last model and pool are measured.
     let mut setup_s = Vec::new();
-    let mut live: Option<(Arc<TransformerModel>, Endpoint)> = None;
+    let mut live: Option<(Arc<TransformerModel>, ReplicaPool)> = None;
     for _ in 0..scale.setups {
-        if let Some((_, endpoint)) = live.take() {
-            endpoint.shutdown();
+        if let Some((_, pool)) = live.take() {
+            pool.shutdown();
         }
         let t0 = Instant::now();
         let model = Arc::new(build_model());
-        warm_up(&model, workload, spec.pool, scale.warmup_requests);
-        let endpoint = Endpoint::start(&model, spec.pool);
+        warm_up(&model, scale.warmup_requests);
+        let pool = start_pool(&model);
         setup_s.push(t0.elapsed().as_secs_f64());
-        live = Some((model, endpoint));
+        live = Some((model, pool));
     }
-    let (model, endpoint) = live.expect("at least one set-up");
+    let (model, pool) = live.expect("at least one set-up");
     let vocab = model.config().vocab;
-    let reqs = prepare(workload, n, spec.rate_per_s, seed, vocab);
+    let reqs = prepare(n, RATE_PER_S, seed, vocab);
 
-    let outcomes = drive(&endpoint.client(), &reqs, traced);
-    let books = endpoint.shutdown();
+    let outcomes = drive(&pool.client(), &reqs, traced);
+    let books = pool.shutdown();
     let rss = peak_rss_mib();
 
     // Output and bookkeeping checks, outside the timed window.
@@ -410,8 +348,7 @@ pub fn run(workload: Workload, seed: u64, seconds: f64, traced: bool, scale: Sca
     let failed = count(Status::Failed);
     let cancelled = count(Status::Cancelled);
     println!(
-        "{}: sent {sent}, completed {}, rejected {rejected}, failed {failed}, cancelled {cancelled}",
-        workload.name(),
+        "prefix_pool: sent {sent}, completed {}, rejected {rejected}, failed {failed}, cancelled {cancelled}",
         completed.len()
     );
     let agg = &books.aggregate;
@@ -463,18 +400,15 @@ pub fn run(workload: Workload, seed: u64, seconds: f64, traced: bool, scale: Sca
     let mut correct = true;
     for (what, ok) in &checks {
         if !ok {
-            eprintln!("{}: check failed: {what}", workload.name());
+            eprintln!("prefix_pool: check failed: {what}");
             correct = false;
         }
     }
 
     // End-to-end metrics. TTFT counts from each request's due time.
-    let limits = Limits {
-        ttft_s: spec.ttft_limit_s,
-        itl_s: spec.itl_limit_s,
-    };
     let mut samples = Vec::new();
-    let mut gaps = Vec::new();
+    let windows_n = (n as f64 / RATE_PER_S / WINDOW_S).ceil().max(1.0) as usize;
+    let mut windows: Vec<Window> = (0..windows_n).map(|_| Window::default()).collect();
     let mut last_finish = 0.0f64;
     for o in &completed {
         let m = o.metrics.as_ref().expect("completed has metrics");
@@ -486,12 +420,15 @@ pub fn run(workload: Workload, seed: u64, seconds: f64, traced: bool, scale: Sca
             itl: m.itl,
             e2e: Seconds(o.late_s + m.e2e.value()),
         });
-        gaps.extend(o.token_at.windows(2).map(|w| w[1] - w[0]));
+        let due = reqs[o.idx].req.arrival.value();
+        let w = &mut windows[((due / WINDOW_S) as usize).min(windows_n - 1)];
+        w.ttft.push(o.late_s + m.ttft.value());
+        w.gaps.extend(o.token_at.windows(2).map(|g| g[1] - g[0]));
         last_finish = last_finish.max(o.sent_s + m.e2e.value());
     }
     let first_due = reqs.first().map_or(0.0, |p| p.req.arrival.value());
     let span = last_finish - first_due;
-    let latency = latency_metrics(&samples, &gaps, sent, span, limits);
+    let latency = latency_metrics(&samples, &windows, sent, span, LIMITS);
     let timeline = Timeline::build(&outcomes, &reqs, &books);
 
     let mut out = RunResult {
@@ -554,7 +491,7 @@ struct Admission {
 }
 
 impl Timeline {
-    fn build(outcomes: &[Outcome], reqs: &[Prepared], books: &Books) -> Timeline {
+    fn build(outcomes: &[Outcome], reqs: &[Prepared], books: &PoolReport) -> Timeline {
         let replica_of: HashMap<u64, usize> = books
             .per_replica
             .iter()
@@ -625,12 +562,13 @@ fn layer_metrics(
     model: &TransformerModel,
     outcomes: &[Outcome],
     reqs: &[Prepared],
-    books: &Books,
+    books: &PoolReport,
     timeline: &Timeline,
     out: &mut Vec<Span>,
 ) -> Vec<Metric> {
     let agg = &books.aggregate;
     let (mut queue, mut prefill, mut late, mut submit) = (vec![], vec![], vec![], vec![]);
+    let mut token_gaps = Vec::new();
     let (mut span_sum, mut e2e_sum) = (0.0, 0.0);
     for o in outcomes {
         late.push(o.late_s);
@@ -646,6 +584,7 @@ fn layer_metrics(
         let prefill_start = timeline.prefill_start[&id];
         queue.push(prefill_start - sub);
         prefill.push(adm - prefill_start);
+        token_gaps.extend(o.token_at.windows(2).map(|g| g[1] - g[0]));
 
         // Server stamps onto the benchmark clock: `submitted_at` is
         // stamped inside the `submit` call that started at `sent_s`. The
@@ -746,6 +685,11 @@ fn layer_metrics(
             "count",
         ),
         metric(
+            "serve.server.token_gap_ms_p95",
+            ms(percentile(&token_gaps, 95.0)),
+            "ms",
+        ),
+        metric(
             "serve.spans.closure",
             span_sum / e2e_sum.max(f64::MIN_POSITIVE),
             "ratio",
@@ -790,10 +734,9 @@ fn layer_metrics(
 /// confirm their streams pass, flip one token, confirm the check fails.
 pub fn selftest_rejects_corruption() -> Result<(), String> {
     let model = Arc::new(build_model());
-    let server = Server::start(Arc::clone(&model), ServeConfig::default())
-        .map_err(|e| format!("server start: {e}"))?;
-    let client = server.client();
-    let reqs = prepare(Workload::ChatPoisson, 2, 1.0, 3, model.config().vocab);
+    let pool = start_pool(&model);
+    let client = pool.client();
+    let reqs = prepare(2, 1.0, 3, model.config().vocab);
     let mut streams_owned = Vec::new();
     for p in &reqs {
         let h = client
@@ -807,7 +750,7 @@ pub fn selftest_rejects_corruption() -> Result<(), String> {
             .to_vec();
         streams_owned.push((id, p.prompt.clone(), tokens));
     }
-    let report = server.shutdown();
+    let report = pool.shutdown().aggregate;
     let ids: Vec<u64> = streams_owned.iter().map(|s| s.0).collect();
     let check = |owned: &[(u64, Vec<usize>, Vec<usize>)]| {
         let streams = owned
