@@ -17,7 +17,7 @@
 //!   the paged KV block chain, never materializing a full score row;
 //! * speculative decoding with a draft model (§IV-B5, Fig. 4b).
 //!
-//! Matrix kernels are `rayon`-parallel above a work threshold and serial
+//! The f32 kernels are `rayon`-parallel above a work threshold and serial
 //! below it. Prefill runs whole prompts through blocked, cache-tiled
 //! GEMMs ([`matmul_mat`]) and batched decode stacks concurrent sequences
 //! so weights stream once per step; a reusable [`Workspace`] makes the

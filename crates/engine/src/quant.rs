@@ -10,9 +10,9 @@
 //! in `i32`, and accumulates `isum × (w_scale × x_scale)` in f32 —
 //! weights stay compressed through the multiply (the memory-bound GEMV
 //! phase streams 1 or ½ bytes per weight instead of 4), and because
-//! the group order is fixed and integer accumulation is exact, every
-//! execution path — serial, rayon-parallel, batched — produces
-//! bitwise-identical results.
+//! the group order is fixed and integer accumulation is exact, the GEMV
+//! and the register-tiled batched GEMM produce bitwise-identical
+//! results.
 //!
 //! Round-trip error bound (asserted by proptests here and in the golden
 //! suite): for every weight, `|w − scale·q| ≤ scale/2` with `scale =
@@ -22,7 +22,6 @@
 //! keeps the same bound (the true values are below `2^-126`).
 
 use crate::tensor::Matrix;
-use rayon::prelude::*;
 
 /// Columns per quantization group: 32 matches the GGML block size and
 /// divides every projection width the engine configs use, while tail
@@ -225,22 +224,32 @@ impl QuantizedLinear {
         out
     }
 
-    /// Quantize activations per group (scale `max|group| / 127`, same
-    /// degenerate-group guard as the weights) into `scratch`.
+    /// Quantize activations per group into `scratch` (see
+    /// [`quantize_groups`]).
     fn quantize_activations(x: &[f32], group: usize, scratch: &mut QuantScratch) {
-        scratch.q.clear();
-        scratch.scales.clear();
-        let mut lo = 0;
-        while lo < x.len() {
-            let hi = x.len().min(lo + group);
-            let scale = group_scale(&x[lo..hi], 127.0);
-            scratch.scales.push(scale);
-            scratch.q.extend(
-                x[lo..hi]
-                    .iter()
-                    .map(|v| (v / scale).round().clamp(-127.0, 127.0) as i8),
-            );
-            lo = hi;
+        scratch.q.resize(x.len(), 0);
+        scratch.scales.resize(x.len().div_ceil(group), 0.0);
+        quantize_groups(x, group, &mut scratch.q, &mut scratch.scales);
+    }
+
+    /// Decode weight row `r` to one i16 per column: INT8 sign-extends,
+    /// INT4 unpacks each nibble and removes the `+8` bias.
+    fn decode_row(&self, r: usize, out: &mut [i16]) {
+        match &self.codes {
+            Codes::Int8(q) => {
+                for (o, &c) in out.iter_mut().zip(&q[r * self.cols..(r + 1) * self.cols]) {
+                    *o = i16::from(c);
+                }
+            }
+            Codes::Int4(packed) => {
+                let bpr = self.cols.div_ceil(2);
+                for (pair, &byte) in out.chunks_mut(2).zip(&packed[r * bpr..(r + 1) * bpr]) {
+                    pair[0] = i16::from(byte & 0x0F) - 8;
+                    if let Some(hi) = pair.get_mut(1) {
+                        *hi = i16::from(byte >> 4) - 8;
+                    }
+                }
+            }
         }
     }
 
@@ -289,60 +298,67 @@ impl QuantizedLinear {
     }
 
     /// [`QuantizedLinear::matmul_vec`] into caller-provided output and
-    /// activation-scratch buffers. Runs serially below the matmul work
-    /// threshold, rayon-parallel over output rows above it; the fixed
-    /// per-row group order keeps both bitwise identical.
+    /// activation-scratch buffers.
     pub fn matmul_vec_into(&self, x: &[f32], y: &mut [f32], scratch: &mut QuantScratch) {
         assert_eq!(self.cols, x.len());
         assert_eq!(self.rows, y.len());
         Self::quantize_activations(x, self.group, scratch);
-        let (xq, xscales) = (&scratch.q[..], &scratch.scales[..]);
-        if self.rows * self.cols < crate::tensor::PARALLEL_FLOP_THRESHOLD {
-            for (r, out) in y.iter_mut().enumerate() {
-                *out = self.dot_row(r, xq, xscales);
-            }
-        } else {
-            y.par_iter_mut().enumerate().for_each(|(r, out)| {
-                *out = self.dot_row(r, xq, xscales);
-            });
+        for (r, out) in y.iter_mut().enumerate() {
+            *out = self.dot_row(r, &scratch.q, &scratch.scales);
         }
     }
 
-    /// Batched `Y = X · W_qᵀ`: each batch row is quantized exactly as it
-    /// would be on its own and accumulated in the same group order, so
-    /// results are bitwise equal to per-row
-    /// [`QuantizedLinear::matmul_vec`] on every dispatch path. Batch
-    /// rows run in parallel above the work threshold.
+    /// Batched `Y = X · W_qᵀ`, register-tiled 2×2: each pair of weight
+    /// rows is decoded to i16 once and swept against every pair of
+    /// activation rows, which are quantized once up front straight to
+    /// i16. Activations are quantized exactly as
+    /// [`QuantizedLinear::matmul_vec`] quantizes them, group dots are
+    /// exact integers, and each output accumulates `isum × (w_scale ×
+    /// x_scale)` in ascending group order, so results are bitwise equal
+    /// to per-row [`QuantizedLinear::matmul_vec`]. A single activation
+    /// row takes that GEMV path directly, since nothing would reuse a
+    /// decoded row.
     pub fn matmul_mat(&self, xs: &Matrix) -> Matrix {
         assert_eq!(self.cols, xs.cols());
-        let m = xs.rows();
-        let gpr = self.cols.div_ceil(self.group).max(1);
-        let mut xqs = vec![0i8; m * self.cols];
+        let (m, n, k) = (xs.rows(), self.rows, self.cols);
+        let mut data = vec![0.0f32; m * n];
+        if m == 1 {
+            self.matmul_vec_into(xs.row(0), &mut data, &mut QuantScratch::new());
+            return Matrix::from_vec(m, n, data);
+        }
+        let gpr = self.groups_per_row();
+        let mut xq = vec![0i16; m * k];
         let mut xscales = vec![0.0f32; m * gpr];
-        let mut scratch = QuantScratch::new();
         for t in 0..m {
-            Self::quantize_activations(xs.row(t), self.group, &mut scratch);
-            xqs[t * self.cols..(t + 1) * self.cols].copy_from_slice(&scratch.q);
-            xscales[t * gpr..(t + 1) * gpr].copy_from_slice(&scratch.scales);
+            quantize_groups(
+                xs.row(t),
+                self.group,
+                &mut xq[t * k..(t + 1) * k],
+                &mut xscales[t * gpr..(t + 1) * gpr],
+            );
         }
-        let mut data = vec![0.0f32; m * self.rows];
-        let fill_row = |t: usize, out_row: &mut [f32]| {
-            let xq = &xqs[t * self.cols..(t + 1) * self.cols];
-            let xs = &xscales[t * gpr..(t + 1) * gpr];
-            for (r, out) in out_row.iter_mut().enumerate() {
-                *out = self.dot_row(r, xq, xs);
+        let mut wq = vec![0i16; 2 * k];
+        // A ragged edge pairs its last row with itself and keeps one
+        // half of the tile: every output is computed independently, so
+        // the duplicate changes no value.
+        for r0 in (0..n).step_by(2) {
+            let r1 = (r0 + 1).min(n - 1);
+            let (w0, w1) = wq.split_at_mut(k);
+            self.decode_row(r0, w0);
+            self.decode_row(r1, w1);
+            let ws = [r0, r1].map(|r| &self.scales[r * gpr..(r + 1) * gpr]);
+            for t0 in (0..m).step_by(2) {
+                let t1 = (t0 + 1).min(m - 1);
+                let x = [t0, t1].map(|t| &xq[t * k..(t + 1) * k]);
+                let xsc = [t0, t1].map(|t| &xscales[t * gpr..(t + 1) * gpr]);
+                let y = tile2x2([w0, w1], ws, x, xsc, self.group);
+                data[t0 * n + r0] = y[0][0];
+                data[t0 * n + r1] = y[1][0];
+                data[t1 * n + r0] = y[0][1];
+                data[t1 * n + r1] = y[1][1];
             }
-        };
-        if m * self.rows * self.cols < crate::tensor::PARALLEL_FLOP_THRESHOLD {
-            for (t, out_row) in data.chunks_mut(self.rows).enumerate() {
-                fill_row(t, out_row);
-            }
-        } else {
-            data.par_chunks_mut(self.rows)
-                .enumerate()
-                .for_each(|(t, out_row)| fill_row(t, out_row));
         }
-        Matrix::from_vec(m, self.rows, data)
+        Matrix::from_vec(m, n, data)
     }
 
     /// Bytes of quantized storage (packed codes + per-group scales).
@@ -352,6 +368,63 @@ impl QuantizedLinear {
             Codes::Int4(p) => p.len(),
         };
         code_bytes + self.scales.len() * 4
+    }
+}
+
+/// Quantize `x` per group (scale `max|group| / 127`, same
+/// degenerate-group guard as the weights): one code per element into
+/// `q`, one scale per group into `scales`. Codes lie in `[-127, 127]`,
+/// so an i8 and an i16 destination hold the same values.
+fn quantize_groups<T: From<i8>>(x: &[f32], group: usize, q: &mut [T], scales: &mut [f32]) {
+    for ((xg, qg), scale) in x.chunks(group).zip(q.chunks_mut(group)).zip(scales) {
+        *scale = group_scale(xg, 127.0);
+        for (v, code) in xg.iter().zip(qg) {
+            *code = T::from((v / *scale).round().clamp(-127.0, 127.0) as i8);
+        }
+    }
+}
+
+/// 2×2 tile of the batched quantized matmul: outputs `y[i][j]` of
+/// decoded weight row `w[i]` against activation row `x[j]`. Per group,
+/// each output adds `isum × (w_scale × x_scale)` in ascending group
+/// order — the [`QuantizedLinear::dot_row`] expression, so a tile
+/// output is bitwise equal to the GEMV output.
+#[inline]
+fn tile2x2(
+    w: [&[i16]; 2],
+    ws: [&[f32]; 2],
+    x: [&[i16]; 2],
+    xs: [&[f32]; 2],
+    group: usize,
+) -> [[f32; 2]; 2] {
+    let mut acc = [[0.0f32; 2]; 2];
+    // Zipped group iterators, not indices: they carry no bounds checks,
+    // which halves the tile's time.
+    let codes = (w[0].chunks(group).zip(w[1].chunks(group)))
+        .zip(x[0].chunks(group).zip(x[1].chunks(group)));
+    let scales = (ws[0].iter().zip(ws[1])).zip(xs[0].iter().zip(xs[1]));
+    for (((w0, w1), (x0, x1)), ((s0, s1), (t0, t1))) in codes.zip(scales) {
+        acc[0][0] += dot_i16(w0, x0) as f32 * (s0 * t0);
+        acc[1][0] += dot_i16(w1, x0) as f32 * (s1 * t0);
+        acc[0][1] += dot_i16(w0, x1) as f32 * (s0 * t1);
+        acc[1][1] += dot_i16(w1, x1) as f32 * (s1 * t1);
+    }
+    acc
+}
+
+/// Exact i16 dot in i32. A full [`QUANT_GROUP`]-wide group takes a
+/// fixed-width loop, which LLVM lowers to `pmaddwd` on x86_64 with or
+/// without the `simd` feature; integer accumulation is exact, so every
+/// width and order returns the same value.
+#[inline(always)]
+fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
+    let widen = |(a, b): (&i16, &i16)| i32::from(*a) * i32::from(*b);
+    match (
+        <&[i16; QUANT_GROUP]>::try_from(a),
+        <&[i16; QUANT_GROUP]>::try_from(b),
+    ) {
+        (Ok(a), Ok(b)) => a.iter().zip(b).map(widen).sum(),
+        _ => a.iter().zip(b).map(widen).sum(),
     }
 }
 
@@ -451,36 +524,6 @@ mod tests {
         // INT4 halves it again (plus the same per-group scales).
         let q4 = QuantizedLinear::quantize_int4(&w);
         assert!(q4.storage_bytes() < q.storage_bytes() * 3 / 4);
-    }
-
-    #[test]
-    fn batched_matmul_matches_per_row_bitwise() {
-        let w = Matrix::random(24, 48, 3, 0.8);
-        for q in [
-            QuantizedLinear::quantize(&w),
-            QuantizedLinear::quantize_int4(&w),
-        ] {
-            let xs = Matrix::random(5, 48, 8, 0.9);
-            let batched = q.matmul_mat(&xs);
-            for t in 0..xs.rows() {
-                assert_eq!(batched.row(t), q.matmul_vec(xs.row(t)).as_slice());
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_batched_matmul_matches_per_row_bitwise() {
-        // 64 × 64 weights against 32 batch rows crosses the work
-        // threshold, so this exercises the rayon path; exact integer
-        // group dots in fixed order keep it bitwise equal regardless.
-        let w = Matrix::random(64, 64, 5, 0.7);
-        let q = QuantizedLinear::quantize(&w);
-        let xs = Matrix::random(32, 64, 9, 0.9);
-        assert!(xs.rows() * q.rows() * q.cols() >= 64 * 1024);
-        let batched = q.matmul_mat(&xs);
-        for t in 0..xs.rows() {
-            assert_eq!(batched.row(t), q.matmul_vec(xs.row(t)).as_slice());
-        }
     }
 
     #[test]
@@ -670,6 +713,35 @@ mod tests {
             let a = make().matmul_vec(&x);
             let b = make().matmul_vec(&x);
             prop_assert_eq!(a, b);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn batched_matmul_matches_per_row_bitwise(
+            seed in 0u64..1000,
+            (rows, cols, m) in prop_oneof![(1usize..9, 1usize..90, 1usize..7), Just((64, 64, 32))],
+            group in prop_oneof![Just(32usize), Just(16), Just(20)],
+        ) {
+            // The 2×2 tile against per-row GEMV over its edges: odd row
+            // and batch counts (a tile paired with itself), `m == 1`
+            // (the GEMV path), `cols < group` and ragged tail groups,
+            // plus a 64 × 64 × 32 shape that runs many full tiles.
+            let w = Matrix::random(rows, cols, seed, 0.8);
+            let xs = Matrix::random(m, cols, seed + 1000, 0.9);
+            for mode in [QuantMode::Int8, QuantMode::Int4] {
+                let q = QuantizedLinear::quantize_with(&w, mode, group);
+                let batched = q.matmul_mat(&xs);
+                for t in 0..m {
+                    let want = q.matmul_vec(xs.row(t));
+                    prop_assert!(
+                        batched.row(t).iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{:?} {}x{}x{} group {} row {}", mode, m, rows, cols, group, t
+                    );
+                }
+            }
         }
     }
 }
