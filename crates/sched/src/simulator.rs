@@ -172,6 +172,10 @@ struct Rep {
     plan: FaultPlan,
     alloc: Box<dyn KvAllocator>,
     queue: VecDeque<usize>,
+    /// Chunked mode: admitted-but-cold sequences (KV already charged,
+    /// like the live pending reservation) with their remaining cold
+    /// prefill tokens, drained one token-budgeted chunk per step.
+    prefilling: VecDeque<(usize, u32)>,
     running: Vec<usize>,
     now: Seconds,
     decode_steps: u64,
@@ -183,23 +187,201 @@ struct Rep {
 }
 
 impl Rep {
+    fn new(plan: FaultPlan, alloc: Box<dyn KvAllocator>) -> Self {
+        Self {
+            plan,
+            alloc,
+            queue: VecDeque::new(),
+            prefilling: VecDeque::new(),
+            running: Vec::new(),
+            now: Seconds::ZERO,
+            decode_steps: 0,
+            next_event: 0,
+            poisoned: Vec::new(),
+            pressure: None,
+            dead: false,
+            completed: 0,
+        }
+    }
+
     fn has_work(&self) -> bool {
-        !self.queue.is_empty() || !self.running.is_empty()
+        !self.queue.is_empty() || !self.prefilling.is_empty() || !self.running.is_empty()
+    }
+
+    /// Release an admitted sequence's KV and resolve it failed.
+    fn fail(&mut self, idx: usize, requests: &mut [Request], tally: &mut PoolTally) {
+        self.alloc.release(requests[idx].id);
+        requests[idx].state = RequestState::Failed;
+        tally.failed += 1;
+    }
+
+    /// Activate the due events of this replica's plan, anchored to its
+    /// decode-step clock exactly like `llmib-serve`'s `FaultInjector`,
+    /// then evict poison victims. Victims die once, and only once they
+    /// are actually decoding: a poisoned pending sequence surfaces after
+    /// its prefill completes, like the live injector. A planned
+    /// scheduler panic kills the replica: every admitted sequence's KV
+    /// is released and every outstanding request index (queued,
+    /// prefilling, running) is returned.
+    fn apply_faults(
+        &mut self,
+        requests: &mut [Request],
+        tally: &mut PoolTally,
+    ) -> Option<Vec<usize>> {
+        let retry = RetryPolicy::default();
+        while let Some(&ev) = self.plan.events().get(self.next_event) {
+            if ev.at_step > self.decode_steps {
+                break;
+            }
+            tally.faults_injected += 1;
+            self.next_event += 1;
+            match ev.kind {
+                FaultKind::StepStall { extra } => {
+                    self.now += Seconds(extra.value().max(0.0));
+                }
+                FaultKind::TransientStepError { failures } => {
+                    if failures > retry.max_retries {
+                        // The live supervisor exhausts its retry budget
+                        // and fails the whole stuck batch.
+                        for idx in std::mem::take(&mut self.running) {
+                            self.fail(idx, requests, tally);
+                        }
+                    } else {
+                        for attempt in 1..=failures {
+                            self.now += retry.backoff(attempt, self.plan.seed ^ self.decode_steps);
+                            tally.retries += 1;
+                        }
+                    }
+                }
+                FaultKind::RequestPoison { request } => self.poisoned.push(request),
+                FaultKind::MemoryPressure {
+                    capacity_factor,
+                    steps,
+                } => self.pressure = Some((capacity_factor.clamp(0.01, 1.0), steps.max(1))),
+                FaultKind::SchedulerPanic => {
+                    self.dead = true;
+                    let admitted = self.prefilling.iter().map(|&(idx, _)| idx);
+                    for idx in admitted.chain(self.running.iter().copied()) {
+                        self.alloc.release(requests[idx].id);
+                    }
+                    let prefilling = self.prefilling.drain(..).map(|(idx, _)| idx);
+                    return Some(
+                        self.queue
+                            .drain(..)
+                            .chain(prefilling)
+                            .chain(self.running.drain(..))
+                            .collect(),
+                    );
+                }
+            }
+        }
+        if !self.poisoned.is_empty() {
+            let mut i = 0;
+            while i < self.running.len() {
+                let id = requests[self.running[i]].id;
+                if let Some(pos) = self.poisoned.iter().position(|&p| p == id) {
+                    self.poisoned.swap_remove(pos);
+                    let idx = self.running.swap_remove(i);
+                    self.fail(idx, requests, tally);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        None
+    }
+
+    /// Start this step's admissions (`(index, cold prefill tokens)`).
+    /// Monolithic prefill charges one batched prefill at their mean
+    /// cold length and starts them decoding. Chunked prefill charges
+    /// nothing at admission — the sequences queue cold — and instead
+    /// runs at most one token-budgeted chunk of the head pending
+    /// sequence per scheduler step, interleaved with the decode step:
+    /// the live scheduler-loop policy mirrored.
+    fn prefill(
+        &mut self,
+        admitted: Vec<(usize, u32)>,
+        requests: &mut [Request],
+        perf: &ResolvedScenario,
+        chunk_budget: Option<u32>,
+        tally: &mut PoolTally,
+    ) {
+        let Some(budget) = chunk_budget else {
+            if admitted.is_empty() {
+                return;
+            }
+            let k = admitted.len() as u32;
+            let mean_prompt = (admitted
+                .iter()
+                .map(|&(_, prefill)| u64::from(prefill))
+                .sum::<u64>()
+                / u64::from(k)) as u32;
+            self.now += perf.prefill_time(k, mean_prompt.max(1));
+            for (idx, _) in admitted {
+                requests[idx].state = RequestState::Decoding;
+                self.running.push(idx);
+            }
+            return;
+        };
+        self.prefilling.extend(admitted);
+        if let Some((idx, remaining)) = self.prefilling.front_mut() {
+            let take = (*remaining).min(budget).max(1);
+            self.now += perf.prefill_time(1, take);
+            tally.prefill_chunks += 1;
+            *remaining = remaining.saturating_sub(take);
+            if *remaining == 0 {
+                let idx = *idx;
+                self.prefilling.pop_front();
+                requests[idx].state = RequestState::Decoding;
+                self.running.push(idx);
+            }
+        }
+    }
+
+    /// Charge one decode step over the running batch, priced at the
+    /// batch's mean context.
+    fn charge_decode_step(
+        &mut self,
+        requests: &[Request],
+        perf: &ResolvedScenario,
+        tally: &mut PoolTally,
+    ) {
+        let batch = self.running.len() as u32;
+        let ctx_avg = (self
+            .running
+            .iter()
+            .map(|&i| u64::from(requests[i].context()))
+            .sum::<u64>()
+            / u64::from(batch)) as u32;
+        self.now += perf.decode_step_time(batch, ctx_avg);
+        self.decode_steps += 1;
+        tally.occupancy_acc += f64::from(batch);
+    }
+
+    /// Close a decode step: sample the pool's utilization, then retire
+    /// every sequence that has produced its whole output budget.
+    fn finish_step(&mut self, requests: &mut [Request], tally: &mut PoolTally) {
+        tally.peak_util = tally.peak_util.max(self.alloc.stats().utilization());
+        let alloc = &mut self.alloc;
+        let completed = &mut self.completed;
+        let now = self.now;
+        self.running.retain(|&idx| {
+            let r = &mut requests[idx];
+            if r.generated >= r.output_tokens {
+                r.state = RequestState::Finished;
+                r.finished_at = Some(now);
+                alloc.release(r.id);
+                *completed += 1;
+                false
+            } else {
+                true
+            }
+        });
     }
 }
 
-/// What one replica advance produced.
-enum ReplicaEvent {
-    /// The replica's clock or state moved.
-    Progressed,
-    /// Nothing to do (queue and batch empty).
-    Idle,
-    /// The replica died to a planned scheduler panic; the payload is
-    /// every outstanding request index it was holding.
-    Died(Vec<usize>),
-}
-
-/// Pool-wide counters shared by every replica advance.
+/// Run-wide counters shared by every replica advance, folded into the
+/// [`ServingReport`] at the end of the run.
 #[derive(Default)]
 struct PoolTally {
     rejected: u32,
@@ -211,6 +393,13 @@ struct PoolTally {
     peak_util: f64,
     prefix_hits: u32,
     saved_prefill_tokens: u64,
+    prefill_chunks: u64,
+    /// Overload-machinery counters: zero outside overload mode, and
+    /// `per_class.completed` is filled by the report for every run.
+    replayed_tokens: u64,
+    brownout_steps: u64,
+    brownout_sheds: u32,
+    per_class: ClassCounters,
 }
 
 /// Block-aligned shared-prefix tokens a prefix-cache hit can skip for
@@ -263,6 +452,28 @@ fn pick_victim(
         .filter(|&(_, &idx)| requests[idx].priority < preemptor)
         .min_by_key(|&(_, &idx)| (requests[idx].priority, std::cmp::Reverse(seq_of[idx])))
         .map(|(pos, _)| pos)
+}
+
+/// Fold a sequence's generated tokens into its prompt as a replay
+/// prefill (prefix-replay re-admission) and return how many it folded.
+fn fold_into_replay(req: &mut Request) -> u32 {
+    let folded = req.generated;
+    req.prompt_tokens += folded;
+    req.output_tokens -= folded;
+    req.generated = 0;
+    folded
+}
+
+/// The next of `n` replicas, from a round-robin `cursor`, that is
+/// `eligible`; every replica tried consumes one cursor slot.
+fn round_robin(cursor: &mut usize, n: usize, eligible: impl Fn(usize) -> bool) -> Option<usize> {
+    (0..n)
+        .map(|_| {
+            let t = *cursor % n;
+            *cursor += 1;
+            t
+        })
+        .find(|&t| eligible(t))
 }
 
 /// The serving simulator.
@@ -334,355 +545,24 @@ impl ServingSimulator {
     ///   (the live analog of a contained scheduler death).
     pub fn run_with_faults(
         &self,
-        mut requests: Vec<Request>,
+        requests: Vec<Request>,
         perf: &ResolvedScenario,
         plan: &FaultPlan,
     ) -> ServingReport {
         if let Some(overload) = self.overload {
             return self.run_overload(requests, perf, plan, &overload);
         }
-        requests.sort_by(|a, b| a.arrival.value().total_cmp(&b.arrival.value()));
-        let mut alloc = self.new_alloc();
-
-        let mut queue: VecDeque<usize> = (0..requests.len()).collect();
-        let mut running: Vec<usize> = Vec::new();
-        let mut now = Seconds::ZERO;
-        let mut preemptions = 0u32;
-        let mut rejected = 0u32;
-        let mut decode_steps = 0u64;
-        let mut occupancy_acc = 0.0f64;
-        let mut peak_util = 0.0f64;
-        let mut completed = 0u32;
-        let total = requests.len() as u32;
-
-        // Fault-replay state, mirroring `llmib-serve`'s FaultInjector:
-        // events activate once their anchor step is reached.
-        let retry = RetryPolicy::default();
-        let mut next_event = 0usize;
-        let mut poisoned: Vec<u64> = Vec::new();
-        let mut pressure: Option<(f64, u64)> = None;
-        let mut failed = 0u32;
-        let mut retries = 0u32;
-        let mut faults_injected = 0u32;
-        let mut prefix_hits = 0u32;
-        let mut saved_prefill_tokens = 0u64;
-        // Chunked mode: admitted-but-cold sequences wait here (KV
-        // already charged, like the live pending reservation) and
-        // drain one token-budgeted chunk per scheduler step.
-        let mut prefilling: VecDeque<(usize, u32)> = VecDeque::new();
-        let mut prefill_chunks = 0u64;
-
-        'serve: while completed + rejected + failed < total {
-            // --- Fault activation (anchored to the decode-step clock) ---
-            while let Some(ev) = plan.events().get(next_event) {
-                if ev.at_step > decode_steps {
-                    break;
-                }
-                faults_injected += 1;
-                next_event += 1;
-                match ev.kind {
-                    FaultKind::StepStall { extra } => {
-                        now += Seconds(extra.value().max(0.0));
-                    }
-                    FaultKind::TransientStepError { failures } => {
-                        if failures > retry.max_retries {
-                            // The live supervisor exhausts its retry
-                            // budget and fails the whole stuck batch.
-                            for idx in running.drain(..) {
-                                let r = &mut requests[idx];
-                                alloc.release(r.id);
-                                r.state = RequestState::Failed;
-                                failed += 1;
-                            }
-                        } else {
-                            for attempt in 1..=failures {
-                                now += retry.backoff(attempt, plan.seed ^ decode_steps);
-                                retries += 1;
-                            }
-                        }
-                    }
-                    FaultKind::RequestPoison { request } => poisoned.push(request),
-                    FaultKind::MemoryPressure {
-                        capacity_factor,
-                        steps,
-                    } => pressure = Some((capacity_factor.clamp(0.01, 1.0), steps.max(1))),
-                    FaultKind::SchedulerPanic => {
-                        // The live analog: a contained scheduler death
-                        // resolves every outstanding request as failed.
-                        for idx in queue.drain(..) {
-                            requests[idx].state = RequestState::Failed;
-                            failed += 1;
-                        }
-                        for (idx, _) in prefilling.drain(..) {
-                            let r = &mut requests[idx];
-                            alloc.release(r.id);
-                            r.state = RequestState::Failed;
-                            failed += 1;
-                        }
-                        for idx in running.drain(..) {
-                            let r = &mut requests[idx];
-                            alloc.release(r.id);
-                            r.state = RequestState::Failed;
-                            failed += 1;
-                        }
-                        break 'serve;
-                    }
-                }
-            }
-            // --- Poison eviction: victims die once (and only once they
-            //     are actually decoding — a poisoned pending sequence
-            //     surfaces after its prefill completes, like the live
-            //     injector) ---
-            if !poisoned.is_empty() {
-                let mut i = 0;
-                while i < running.len() {
-                    let id = requests[running[i]].id;
-                    if let Some(pos) = poisoned.iter().position(|&p| p == id) {
-                        poisoned.swap_remove(pos);
-                        let idx = running.swap_remove(i);
-                        let r = &mut requests[idx];
-                        alloc.release(r.id);
-                        r.state = RequestState::Failed;
-                        failed += 1;
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            // --- Admission ---
-            let may_admit = match self.config.policy {
-                BatchingPolicy::Continuous => true,
-                BatchingPolicy::Static => running.is_empty(),
-            };
-            let mut newly_admitted: Vec<(usize, u32)> = Vec::new();
-            if may_admit {
-                // Pending (still-prefilling) sequences count against the
-                // concurrency cap, exactly like the live scheduler.
-                while running.len() + prefilling.len() + newly_admitted.len()
-                    < self.config.max_concurrency as usize
-                {
-                    let Some(&idx) = queue.front() else { break };
-                    if requests[idx].arrival.value() > now.value() {
-                        break;
-                    }
-                    // Under a memory-pressure window the pool is
-                    // temporarily shrunk: hold admissions that would push
-                    // utilization past the factor (existing sequences are
-                    // unaffected, exactly like the live KvBudget).
-                    if let Some((factor, _)) = pressure {
-                        if alloc.stats().utilization() >= factor {
-                            break;
-                        }
-                    }
-                    let req = &requests[idx];
-                    if !alloc.can_admit(req.max_context()) {
-                        break;
-                    }
-                    // Prefix-cache model (paged pools only, mirroring the
-                    // live engine's block trie): the block-aligned shared
-                    // prefix lives in the shared ledger, charged once. The
-                    // first sharer is cold — it prefills everything and
-                    // makes the prefix resident; later sharers skip it.
-                    let aligned = match self.config.kv_block_tokens {
-                        Some(bt) if req.shared_prefix_tokens > 0 => aligned_prefix(req, bt),
-                        _ => 0,
-                    };
-                    let key = u64::from(req.shared_prefix_tokens);
-                    let cached = if aligned > 0 && alloc.shared_resident(key) {
-                        aligned
-                    } else {
-                        0
-                    };
-                    if alloc.admit(req.id, req.max_context()).is_err() {
-                        break;
-                    }
-                    if aligned > 0
-                        && cached == 0
-                        && alloc.acquire_shared(key, u64::from(aligned)).is_err()
-                    {
-                        alloc.release(req.id);
-                        break;
-                    }
-                    // Prefill KV lands immediately on admission; the
-                    // shared part is already accounted in the ledger.
-                    if alloc.append(req.id, req.prompt_tokens - aligned).is_err() {
-                        alloc.release(req.id);
-                        break;
-                    }
-                    if cached > 0 {
-                        prefix_hits += 1;
-                        saved_prefill_tokens += u64::from(cached);
-                    }
-                    queue.pop_front();
-                    newly_admitted.push((idx, req.prompt_tokens - cached));
-                }
-            }
-            if !newly_admitted.is_empty() {
-                if self.chunk_budget.is_some() {
-                    // Chunked mode: no prefill time is charged at
-                    // admission — the sequence queues cold and its
-                    // prefill drains below, one chunk per step.
-                    for (idx, cold) in newly_admitted {
-                        prefilling.push_back((idx, cold));
-                    }
-                } else {
-                    let k = newly_admitted.len() as u32;
-                    let mean_prompt = (newly_admitted
-                        .iter()
-                        .map(|&(_, prefill)| u64::from(prefill))
-                        .sum::<u64>()
-                        / u64::from(k)) as u32;
-                    now += perf.prefill_time(k, mean_prompt.max(1));
-                    for (idx, _) in newly_admitted {
-                        requests[idx].state = RequestState::Decoding;
-                        running.push(idx);
-                    }
-                }
-            }
-
-            // --- One prefill chunk (chunked mode): at most one
-            //     token-budgeted chunk of the head pending sequence per
-            //     scheduler step, interleaved with the decode step below
-            //     — the live scheduler-loop policy mirrored. ---
-            if let Some(budget) = self.chunk_budget {
-                if let Some((idx, remaining)) = prefilling.front_mut() {
-                    let take = (*remaining).min(budget).max(1);
-                    now += perf.prefill_time(1, take);
-                    prefill_chunks += 1;
-                    *remaining = remaining.saturating_sub(take);
-                    if *remaining == 0 {
-                        let idx = *idx;
-                        prefilling.pop_front();
-                        requests[idx].state = RequestState::Decoding;
-                        running.push(idx);
-                    }
-                }
-            }
-
-            if running.is_empty() {
-                if !prefilling.is_empty() {
-                    // A chunk just ran; the clock advanced, so keep
-                    // draining the pending queue.
-                    continue;
-                }
-                // Idle: jump to the next arrival.
-                match queue.front() {
-                    Some(&idx) => {
-                        let arr = requests[idx].arrival;
-                        if arr.value() > now.value() {
-                            now = arr;
-                        } else {
-                            // Nothing fits even though requests wait and
-                            // the pool is idle: this request can never be
-                            // held. A serving system must shed it and keep
-                            // going, not crash (the live runtime in
-                            // llmib-serve does the same).
-                            queue.pop_front();
-                            requests[idx].state = RequestState::Rejected;
-                            rejected += 1;
-                        }
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-
-            // --- One decode step ---
-            let batch = running.len() as u32;
-            let ctx_avg = (running
-                .iter()
-                .map(|&i| u64::from(requests[i].context()))
-                .sum::<u64>()
-                / u64::from(batch)) as u32;
-            now += perf.decode_step_time(batch, ctx_avg);
-            decode_steps += 1;
-            occupancy_acc += f64::from(batch);
-
-            // Append one token per running sequence; on pool exhaustion,
-            // preempt the youngest sequence (vLLM recompute-style) and
-            // retry the append for the survivors.
-            let mut i = 0;
-            while i < running.len() {
-                let idx = running[i];
-                let id = requests[idx].id;
-                match alloc.append(id, 1) {
-                    Ok(()) => {
-                        let r = &mut requests[idx];
-                        r.generated += 1;
-                        if r.generated == 1 {
-                            r.first_token_at = Some(now);
-                        }
-                        i += 1;
-                    }
-                    Err(_) => {
-                        // Evict the most recently admitted sequence.
-                        let victim_pos = running.len() - 1;
-                        let victim_idx = running.swap_remove(victim_pos);
-                        let v = &mut requests[victim_idx];
-                        alloc.release(v.id);
-                        if running.is_empty() && victim_idx == idx {
-                            // It had the whole pool to itself and still
-                            // ran out: it can never finish. Requeueing
-                            // would preempt-loop forever; shed it.
-                            v.state = RequestState::Rejected;
-                            rejected += 1;
-                            continue;
-                        }
-                        v.state = RequestState::Queued;
-                        v.generated = 0;
-                        v.first_token_at = None;
-                        queue.push_front(victim_idx);
-                        preemptions += 1;
-                        if victim_idx == idx {
-                            // The victim was the sequence we were serving.
-                            continue;
-                        }
-                    }
-                }
-            }
-
-            peak_util = peak_util.max(alloc.stats().utilization());
-
-            // --- Completions ---
-            running.retain(|&idx| {
-                let r = &mut requests[idx];
-                if r.generated >= r.output_tokens {
-                    r.state = RequestState::Finished;
-                    r.finished_at = Some(now);
-                    alloc.release(r.id);
-                    completed += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-
-        self.report(
-            &requests,
-            now,
-            decode_steps,
-            prefill_chunks,
-            occupancy_acc,
-            peak_util,
-            preemptions,
-            rejected,
-            FaultTally {
-                failed,
-                retries,
-                faults_injected,
-            },
-            PrefixTally {
-                hits: prefix_hits,
-                saved_tokens: saved_prefill_tokens,
-            },
-            OverloadTally::default(),
-        )
+        // A single scheduler is a pool of one unified replica: with no
+        // survivor, a scheduler panic fails everything outstanding.
+        let plan = ReplicaFaultPlan::broadcast(plan, 1);
+        self.run_disaggregated(requests, perf, &[ReplicaRole::Unified], &plan)
+            .aggregate
     }
 
-    /// The overload-mode serving loop: the same discrete-event clock as
-    /// [`ServingSimulator::run_with_faults`], but admission mirrors the
-    /// live `llmib-serve` scheduler exactly —
+    /// The overload-mode serving loop: the same discrete-event clock,
+    /// fault replay, prefill charge and decode-step cost as the lazy
+    /// replica step of [`ServingSimulator::run_with_faults`], but
+    /// admission mirrors the live `llmib-serve` scheduler exactly —
     ///
     /// * requests wait in a **priority-ordered** ready queue (higher
     ///   class first, FIFO within a class),
@@ -707,19 +587,17 @@ impl ServingSimulator {
         requests.sort_by(|a, b| a.arrival.value().total_cmp(&b.arrival.value()));
         let n = requests.len();
         let total = n as u32;
-        let mut alloc = self.new_alloc();
         let block = u64::from(self.config.kv_block_tokens.unwrap_or(1).max(1));
         let capacity = self.config.kv_capacity_tokens;
         let cost = |max_context: u32| u64::from(max_context).div_ceil(block) * block;
         let mut brownout = BrownoutController::new(overload.brownout);
 
-        // Not-yet-arrived (arrival order) vs. arrived (priority order).
+        // `rep.queue` is the arrived, priority-ordered ready queue (the
+        // live waiting queue); not-yet-arrived requests wait in
+        // `pending`, in arrival order.
+        let mut rep = Rep::new(plan.clone(), self.new_alloc());
         let mut pending: VecDeque<usize> = (0..n).collect();
-        let mut ready: VecDeque<usize> = VecDeque::new();
-        let mut running: Vec<usize> = Vec::new();
-        let mut now = Seconds::ZERO;
-        // The live KvBudget's reservation ledger, mirrored exactly.
-        let mut reserved = 0u64;
+        // Each admitted sequence's block-rounded reservation.
         let mut cost_of = vec![0u64; n];
         // Admission sequence numbers (incremented on every admission,
         // replays included) — the victim tie-break both backends share.
@@ -728,150 +606,73 @@ impl ServingSimulator {
         // A replayed victim keeps its remaining budget (never clamped)
         // and is never brownout-shed: its stream must complete.
         let mut replay = vec![false; n];
+        let mut tally = PoolTally::default();
 
-        let mut preemptions = 0u32;
-        let mut rejected = 0u32;
-        let mut sheds = 0u32;
-        let mut decode_steps = 0u64;
-        let mut occupancy_acc = 0.0f64;
-        let mut peak_util = 0.0f64;
-        let mut completed = 0u32;
-        let mut per_class = ClassCounters::default();
-        let mut replayed_tokens = 0u64;
-
-        let retry = RetryPolicy::default();
-        let mut next_event = 0usize;
-        let mut poisoned: Vec<u64> = Vec::new();
-        let mut pressure: Option<(f64, u64)> = None;
-        let mut failed = 0u32;
-        let mut retries = 0u32;
-        let mut faults_injected = 0u32;
-        // Chunked mode: admitted-but-cold sequences (reservation held)
-        // drain one token-budgeted chunk per scheduler step.
-        let mut prefilling: VecDeque<(usize, u32)> = VecDeque::new();
-        let mut prefill_chunks = 0u64;
-
-        'serve: while completed + rejected + failed + sheds < total {
+        while rep.completed + tally.rejected + tally.failed + tally.brownout_sheds < total {
             // --- Fault activation (decode-step clock, *before* intake:
             //     a stall's clock advance makes arrivals visible — the
             //     live overload scheduler drains its pending stall at
             //     the same loop point) ---
-            while let Some(ev) = plan.events().get(next_event) {
-                if ev.at_step > decode_steps {
-                    break;
+            if let Some(outstanding) = rep.apply_faults(&mut requests, &mut tally) {
+                for idx in pending.drain(..).chain(outstanding) {
+                    requests[idx].state = RequestState::Failed;
+                    tally.failed += 1;
                 }
-                faults_injected += 1;
-                next_event += 1;
-                match ev.kind {
-                    FaultKind::StepStall { extra } => {
-                        now += Seconds(extra.value().max(0.0));
-                    }
-                    FaultKind::TransientStepError { failures } => {
-                        if failures > retry.max_retries {
-                            for idx in running.drain(..) {
-                                let r = &mut requests[idx];
-                                alloc.release(r.id);
-                                reserved -= cost_of[idx];
-                                r.state = RequestState::Failed;
-                                failed += 1;
-                            }
-                        } else {
-                            for attempt in 1..=failures {
-                                now += retry.backoff(attempt, plan.seed ^ decode_steps);
-                                retries += 1;
-                            }
-                        }
-                    }
-                    FaultKind::RequestPoison { request } => poisoned.push(request),
-                    FaultKind::MemoryPressure {
-                        capacity_factor,
-                        steps,
-                    } => pressure = Some((capacity_factor.clamp(0.01, 1.0), steps.max(1))),
-                    FaultKind::SchedulerPanic => {
-                        // Terminal: the ledger dies with the scheduler,
-                        // so only the allocator needs releasing.
-                        for idx in pending.drain(..).chain(ready.drain(..)) {
-                            requests[idx].state = RequestState::Failed;
-                            failed += 1;
-                        }
-                        for (idx, _) in prefilling.drain(..) {
-                            let r = &mut requests[idx];
-                            alloc.release(r.id);
-                            r.state = RequestState::Failed;
-                            failed += 1;
-                        }
-                        for idx in running.drain(..) {
-                            let r = &mut requests[idx];
-                            alloc.release(r.id);
-                            r.state = RequestState::Failed;
-                            failed += 1;
-                        }
-                        break 'serve;
-                    }
-                }
+                break;
             }
-            // --- Poison eviction (decoding victims only) ---
-            if !poisoned.is_empty() {
-                let mut i = 0;
-                while i < running.len() {
-                    let id = requests[running[i]].id;
-                    if let Some(pos) = poisoned.iter().position(|&p| p == id) {
-                        poisoned.swap_remove(pos);
-                        let idx = running.swap_remove(i);
-                        let r = &mut requests[idx];
-                        alloc.release(r.id);
-                        reserved -= cost_of[idx];
-                        r.state = RequestState::Failed;
-                        failed += 1;
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            // --- Intake: arrived requests move to the priority-ordered
-            //     ready queue (the live waiting queue), with the live
-            //     oversized screen applied at the door ---
+            // --- Intake: arrived requests move to the ready queue, with
+            //     the live oversized screen applied at the door ---
             while let Some(&idx) = pending.front() {
-                if requests[idx].arrival.value() > now.value() {
+                if requests[idx].arrival.value() > rep.now.value() {
                     break;
                 }
                 pending.pop_front();
                 if cost(requests[idx].max_context()) > capacity {
                     requests[idx].state = RequestState::Rejected;
-                    rejected += 1;
+                    tally.rejected += 1;
                     continue;
                 }
-                insert_by_priority(&mut ready, idx, &requests);
+                insert_by_priority(&mut rep.queue, idx, &requests);
             }
             // --- Admission (the live `Scheduler::admit` mirrored) ---
             let may_admit = match self.config.policy {
                 BatchingPolicy::Continuous => true,
-                BatchingPolicy::Static => running.is_empty(),
+                BatchingPolicy::Static => rep.running.is_empty(),
             };
             let mut starved = false;
             let mut newly_admitted: Vec<(usize, u32)> = Vec::new();
             if may_admit {
+                // The live KvBudget's reservation ledger: the
+                // reservations of every sequence holding KV.
+                let prefilling = rep.prefilling.iter().map(|(idx, _)| idx);
+                let mut reserved: u64 = rep
+                    .running
+                    .iter()
+                    .chain(prefilling)
+                    .map(|&idx| cost_of[idx])
+                    .sum();
                 // Brownout level 2: shed queued best-effort first
                 // admissions outright (never replays — their streams
                 // must complete to stay bitwise comparable).
                 if brownout.level() >= BrownoutController::MAX_LEVEL {
-                    let shed: Vec<usize> = ready
+                    let shed: Vec<usize> = rep
+                        .queue
                         .iter()
                         .copied()
                         .filter(|&idx| !replay[idx] && brownout.should_shed(requests[idx].priority))
                         .collect();
-                    ready.retain(|idx| !shed.contains(idx));
+                    rep.queue.retain(|idx| !shed.contains(idx));
                     for idx in shed {
                         let r = &mut requests[idx];
                         r.state = RequestState::Rejected;
-                        per_class.shed[r.priority.index()] += 1;
-                        sheds += 1;
+                        tally.per_class.shed[r.priority.index()] += 1;
+                        tally.brownout_sheds += 1;
                     }
                 }
-                'admit: while running.len() + prefilling.len() + newly_admitted.len()
+                'admit: while rep.running.len() + rep.prefilling.len() + newly_admitted.len()
                     < self.config.max_concurrency as usize
                 {
-                    let Some(&idx) = ready.front() else { break };
+                    let Some(&idx) = rep.queue.front() else { break };
                     // Budget for this admission: replays keep their
                     // remaining tokens; first admissions may be clamped
                     // by brownout level 1. The clamp is applied only if
@@ -886,72 +687,70 @@ impl ServingSimulator {
                     };
                     let max_context = requests[idx].prompt_tokens + out;
                     let c = cost(max_context);
-                    let effective = match pressure {
+                    let effective = match rep.pressure {
                         Some((factor, _)) => (capacity as f64 * factor).floor() as u64,
                         None => capacity,
                     };
-                    if reserved + c > effective || !alloc.can_admit(max_context) {
+                    if reserved + c > effective || !rep.alloc.can_admit(max_context) {
                         // Preempt the youngest running sequence of the
                         // lowest class strictly below the preemptor's:
                         // fold its stream into a replay prefill and
                         // retry the same front.
                         if overload.preemption {
-                            if let Some(pos) =
-                                pick_victim(&running, &requests, &seq_of, requests[idx].priority)
-                            {
-                                let vidx = running.swap_remove(pos);
+                            if let Some(pos) = pick_victim(
+                                &rep.running,
+                                &requests,
+                                &seq_of,
+                                requests[idx].priority,
+                            ) {
+                                let vidx = rep.running.swap_remove(pos);
                                 // Eviction for any reason cancels a
                                 // pending poison — the live injector's
                                 // `evict` contract, mirrored so both
                                 // backends agree on a preempted victim's
                                 // fate.
-                                poisoned.retain(|&p| p != requests[vidx].id);
+                                rep.poisoned.retain(|&p| p != requests[vidx].id);
                                 let v = &mut requests[vidx];
-                                alloc.release(v.id);
+                                rep.alloc.release(v.id);
                                 reserved -= cost_of[vidx];
-                                preemptions += 1;
-                                per_class.preemptions[v.priority.index()] += 1;
-                                per_class.replayed_tokens[v.priority.index()] +=
-                                    u64::from(v.generated);
-                                replayed_tokens += u64::from(v.generated);
-                                v.prompt_tokens += v.generated;
-                                v.output_tokens -= v.generated;
-                                v.generated = 0;
+                                tally.preemptions += 1;
+                                tally.per_class.preemptions[v.priority.index()] += 1;
+                                let folded = u64::from(fold_into_replay(v));
+                                tally.per_class.replayed_tokens[v.priority.index()] += folded;
+                                tally.replayed_tokens += folded;
                                 v.state = RequestState::Queued;
                                 replay[vidx] = true;
-                                insert_by_priority(&mut ready, vidx, &requests);
+                                insert_by_priority(&mut rep.queue, vidx, &requests);
                                 continue 'admit;
                             }
                         }
                         // The live idle-shed: an idle, unpressured pool
                         // that still cannot hold the front can never
                         // hold it — shed it and keep going.
-                        if running.is_empty()
+                        if rep.running.is_empty()
                             && newly_admitted.is_empty()
                             && reserved == 0
-                            && pressure.is_none()
+                            && rep.pressure.is_none()
                         {
-                            ready.pop_front();
+                            rep.queue.pop_front();
                             requests[idx].state = RequestState::Rejected;
-                            rejected += 1;
+                            tally.rejected += 1;
                             continue 'admit;
                         }
                         starved = true;
                         break;
                     }
-                    if alloc.admit(requests[idx].id, max_context).is_err() {
+                    let id = requests[idx].id;
+                    if rep.alloc.admit(id, max_context).is_err() {
                         starved = true;
                         break;
                     }
-                    if alloc
-                        .append(requests[idx].id, requests[idx].prompt_tokens)
-                        .is_err()
-                    {
-                        alloc.release(requests[idx].id);
+                    if rep.alloc.append(id, requests[idx].prompt_tokens).is_err() {
+                        rep.alloc.release(id);
                         starved = true;
                         break;
                     }
-                    ready.pop_front();
+                    rep.queue.pop_front();
                     requests[idx].output_tokens = out;
                     reserved += c;
                     cost_of[idx] = c;
@@ -960,149 +759,63 @@ impl ServingSimulator {
                     newly_admitted.push((idx, requests[idx].prompt_tokens));
                 }
             }
-            if !newly_admitted.is_empty() {
-                if self.chunk_budget.is_some() {
-                    for (idx, cold) in newly_admitted {
-                        prefilling.push_back((idx, cold));
-                    }
-                } else {
-                    let k = newly_admitted.len() as u32;
-                    let mean_prompt = (newly_admitted
-                        .iter()
-                        .map(|&(_, prefill)| u64::from(prefill))
-                        .sum::<u64>()
-                        / u64::from(k)) as u32;
-                    now += perf.prefill_time(k, mean_prompt.max(1));
-                    for (idx, _) in newly_admitted {
-                        requests[idx].state = RequestState::Decoding;
-                        running.push(idx);
-                    }
-                }
-            }
+            rep.prefill(
+                newly_admitted,
+                &mut requests,
+                perf,
+                self.chunk_budget,
+                &mut tally,
+            );
 
-            // --- One prefill chunk per scheduler step (chunked mode) ---
-            if let Some(budget) = self.chunk_budget {
-                if let Some((idx, remaining)) = prefilling.front_mut() {
-                    let take = (*remaining).min(budget).max(1);
-                    now += perf.prefill_time(1, take);
-                    prefill_chunks += 1;
-                    *remaining = remaining.saturating_sub(take);
-                    if *remaining == 0 {
-                        let idx = *idx;
-                        prefilling.pop_front();
-                        requests[idx].state = RequestState::Decoding;
-                        running.push(idx);
-                    }
-                }
-            }
-
-            if running.is_empty() {
-                if !prefilling.is_empty() {
+            if rep.running.is_empty() {
+                if !rep.prefilling.is_empty() {
                     continue;
                 }
                 if let Some(&idx) = pending.front() {
                     // Intake drained everything arrived, so the front's
                     // arrival is in the future: jump to it.
-                    now = Seconds(now.value().max(requests[idx].arrival.value()));
+                    rep.now = Seconds(rep.now.value().max(requests[idx].arrival.value()));
                     continue;
                 }
-                match ready.front() {
-                    Some(&idx) => {
+                match rep.queue.pop_front() {
+                    Some(idx) => {
                         // Arrived work an idle pool still cannot admit
                         // (pressure window or fragmentation): shed it
-                        // to guarantee progress, like the base loop.
-                        ready.pop_front();
+                        // to guarantee progress, like the lazy step.
                         requests[idx].state = RequestState::Rejected;
-                        rejected += 1;
+                        tally.rejected += 1;
                         continue;
                     }
                     None => break,
                 }
             }
 
-            // --- One decode step ---
-            let batch = running.len() as u32;
-            let ctx_avg = (running
-                .iter()
-                .map(|&i| u64::from(requests[i].context()))
-                .sum::<u64>()
-                / u64::from(batch)) as u32;
-            now += perf.decode_step_time(batch, ctx_avg);
-            decode_steps += 1;
-            occupancy_acc += f64::from(batch);
-
+            rep.charge_decode_step(&requests, perf, &mut tally);
             // Reservation makes appends infallible; a failure is the
             // accounting bug the live runtime fails per-request.
             let mut i = 0;
-            while i < running.len() {
-                let idx = running[i];
-                let id = requests[idx].id;
-                match alloc.append(id, 1) {
-                    Ok(()) => {
-                        let r = &mut requests[idx];
-                        r.generated += 1;
-                        if r.first_token_at.is_none() {
-                            r.first_token_at = Some(now);
-                        }
-                        i += 1;
+            while i < rep.running.len() {
+                let idx = rep.running[i];
+                if rep.alloc.append(requests[idx].id, 1).is_ok() {
+                    let r = &mut requests[idx];
+                    r.generated += 1;
+                    if r.first_token_at.is_none() {
+                        r.first_token_at = Some(rep.now);
                     }
-                    Err(_) => {
-                        running.swap_remove(i);
-                        let r = &mut requests[idx];
-                        alloc.release(r.id);
-                        reserved -= cost_of[idx];
-                        r.state = RequestState::Failed;
-                        failed += 1;
-                    }
+                    i += 1;
+                } else {
+                    rep.running.swap_remove(i);
+                    rep.fail(idx, &mut requests, &mut tally);
                 }
             }
-
-            peak_util = peak_util.max(alloc.stats().utilization());
             // One starvation sample per completed decode step — the
             // shared ladder both backends drive identically.
             brownout.observe_step(starved);
-
-            // --- Completions ---
-            running.retain(|&idx| {
-                let r = &mut requests[idx];
-                if r.generated >= r.output_tokens {
-                    r.state = RequestState::Finished;
-                    r.finished_at = Some(now);
-                    alloc.release(r.id);
-                    reserved -= cost_of[idx];
-                    completed += 1;
-                    false
-                } else {
-                    true
-                }
-            });
+            rep.finish_step(&mut requests, &mut tally);
         }
 
-        self.report(
-            &requests,
-            now,
-            decode_steps,
-            prefill_chunks,
-            occupancy_acc,
-            peak_util,
-            preemptions,
-            rejected,
-            FaultTally {
-                failed,
-                retries,
-                faults_injected,
-            },
-            PrefixTally {
-                hits: 0,
-                saved_tokens: 0,
-            },
-            OverloadTally {
-                replayed_tokens,
-                brownout_steps: brownout.brownout_steps,
-                brownout_sheds: sheds,
-                per_class,
-            },
-        )
+        tally.brownout_steps = brownout.brownout_steps;
+        report(&requests, rep.now, rep.decode_steps, tally)
     }
 
     fn new_alloc(&self) -> Box<dyn KvAllocator> {
@@ -1130,115 +843,13 @@ impl ServingSimulator {
     /// submission — the same convention as the live pool's router.
     pub fn run_replicated(
         &self,
-        mut requests: Vec<Request>,
+        requests: Vec<Request>,
         perf: &ResolvedScenario,
         replicas: u32,
         plan: &ReplicaFaultPlan,
     ) -> ReplicatedReport {
-        assert!(replicas > 0, "need at least one replica");
-        requests.sort_by(|a, b| a.arrival.value().total_cmp(&b.arrival.value()));
-        let mut reps: Vec<Rep> = (0..replicas)
-            .map(|r| Rep {
-                plan: plan.plan_for(llmib_types::ReplicaId(r)),
-                alloc: self.new_alloc(),
-                queue: VecDeque::new(),
-                running: Vec::new(),
-                now: Seconds::ZERO,
-                decode_steps: 0,
-                next_event: 0,
-                poisoned: Vec::new(),
-                pressure: None,
-                dead: false,
-                completed: 0,
-            })
-            .collect();
-        for i in 0..requests.len() {
-            reps[i % replicas as usize].queue.push_back(i);
-        }
-
-        let retry = RetryPolicy::default();
-        let mut tally = PoolTally::default();
-        let mut failovers = 0u32;
-        let mut migrations = 0u32;
-        let mut migrated_tokens = 0u64;
-        let mut rr = 0usize;
-
-        // Advance the live replica with work whose clock is furthest
-        // behind — a deterministic merge of the per-replica event
-        // streams.
-        while let Some(r) = (0..reps.len())
-            .filter(|&i| !reps[i].dead && reps[i].has_work())
-            .min_by(|&a, &b| reps[a].now.value().total_cmp(&reps[b].now.value()))
-        {
-            let ReplicaEvent::Died(outstanding) =
-                self.advance_replica(&mut reps[r], &mut requests, perf, &retry, &mut tally)
-            else {
-                continue;
-            };
-            failovers += 1;
-            let dead_now = reps[r].now;
-            for idx in outstanding {
-                let req = &mut requests[idx];
-                if req.arrival.value() <= dead_now.value() {
-                    // Dispatched before the death: fail over with a
-                    // prefix replay of the tokens already produced.
-                    migrations += 1;
-                    migrated_tokens += u64::from(req.generated);
-                    req.prompt_tokens += req.generated;
-                    req.output_tokens -= req.generated;
-                    req.generated = 0;
-                }
-                req.state = RequestState::Queued;
-                let survivor = (0..reps.len())
-                    .map(|_| {
-                        let t = rr % reps.len();
-                        rr += 1;
-                        t
-                    })
-                    .find(|&t| !reps[t].dead);
-                match survivor {
-                    Some(t) => insert_by_arrival(&mut reps[t].queue, idx, &requests),
-                    None => {
-                        requests[idx].state = RequestState::Failed;
-                        tally.failed += 1;
-                    }
-                }
-            }
-        }
-
-        let makespan = reps
-            .iter()
-            .map(|rep| rep.now)
-            .fold(Seconds::ZERO, |a, b| Seconds(a.value().max(b.value())));
-        let decode_steps: u64 = reps.iter().map(|rep| rep.decode_steps).sum();
-        let aggregate = self.report(
-            &requests,
-            makespan,
-            decode_steps,
-            0,
-            tally.occupancy_acc,
-            tally.peak_util,
-            tally.preemptions,
-            tally.rejected,
-            FaultTally {
-                failed: tally.failed,
-                retries: tally.retries,
-                faults_injected: tally.faults_injected,
-            },
-            PrefixTally {
-                hits: tally.prefix_hits,
-                saved_tokens: tally.saved_prefill_tokens,
-            },
-            OverloadTally::default(),
-        );
-        ReplicatedReport {
-            aggregate,
-            failovers,
-            migrations,
-            migrated_tokens,
-            disagg_handoffs: 0,
-            per_replica_completed: reps.iter().map(|rep| rep.completed).collect(),
-        }
+        let roles = vec![ReplicaRole::Unified; replicas as usize];
+        self.run_disaggregated(requests, perf, &roles, plan)
     }
 
     /// Disaggregated prefill/decode mirror of
@@ -1270,32 +881,21 @@ impl ServingSimulator {
             roles.iter().any(|r| r.accepts_decode()),
             "need a decode-capable replica"
         );
+        assert!(
+            self.overload.is_none(),
+            "overload mode is single-replica only: use run or run_with_faults"
+        );
         requests.sort_by(|a, b| a.arrival.value().total_cmp(&b.arrival.value()));
-        let replicas = roles.len();
-        let mut reps: Vec<Rep> = (0..replicas as u32)
-            .map(|r| Rep {
-                plan: plan.plan_for(llmib_types::ReplicaId(r)),
-                alloc: self.new_alloc(),
-                queue: VecDeque::new(),
-                running: Vec::new(),
-                now: Seconds::ZERO,
-                decode_steps: 0,
-                next_event: 0,
-                poisoned: Vec::new(),
-                pressure: None,
-                dead: false,
-                completed: 0,
-            })
+        let n = roles.len();
+        let mut reps: Vec<Rep> = (0..n as u32)
+            .map(|r| Rep::new(plan.plan_for(llmib_types::ReplicaId(r)), self.new_alloc()))
             .collect();
-        let prefill_reps: Vec<usize> = (0..replicas)
-            .filter(|&i| roles[i].accepts_prefill())
-            .collect();
+        let prefill_reps: Vec<usize> = (0..n).filter(|&i| roles[i].accepts_prefill()).collect();
         for (j, i) in (0..requests.len()).enumerate() {
             let target = prefill_reps[j % prefill_reps.len()];
             reps[target].queue.push_back(i);
         }
 
-        let retry = RetryPolicy::default();
         let mut tally = PoolTally::default();
         let mut failovers = 0u32;
         let mut migrations = 0u32;
@@ -1305,85 +905,72 @@ impl ServingSimulator {
         // Deterministic cursor for phase-boundary handoff targets.
         let mut decode_rr = 0usize;
 
-        while let Some(r) = (0..reps.len())
+        // Advance the live replica with work whose clock is furthest
+        // behind — a deterministic merge of the per-replica event
+        // streams.
+        while let Some(r) = (0..n)
             .filter(|&i| !reps[i].dead && reps[i].has_work())
             .min_by(|&a, &b| reps[a].now.value().total_cmp(&reps[b].now.value()))
         {
-            match self.advance_replica(&mut reps[r], &mut requests, perf, &retry, &mut tally) {
-                ReplicaEvent::Died(outstanding) => {
-                    failovers += 1;
-                    let dead_now = reps[r].now;
-                    for idx in outstanding {
-                        let req = &mut requests[idx];
-                        let streamed = req.generated > 0;
-                        if req.arrival.value() <= dead_now.value() {
-                            migrations += 1;
-                            migrated_tokens += u64::from(req.generated);
-                            req.prompt_tokens += req.generated;
-                            req.output_tokens -= req.generated;
-                            req.generated = 0;
-                        }
-                        req.state = RequestState::Queued;
-                        // A streaming flight needs a decode-capable
-                        // survivor; an unstreamed one re-prefills.
-                        let survivor = (0..reps.len())
-                            .map(|_| {
-                                let t = rr % reps.len();
-                                rr += 1;
-                                t
-                            })
-                            .find(|&t| {
-                                !reps[t].dead
-                                    && if streamed {
-                                        roles[t].accepts_decode()
-                                    } else {
-                                        roles[t].accepts_prefill()
-                                    }
-                            });
-                        match survivor {
-                            Some(t) => insert_by_arrival(&mut reps[t].queue, idx, &requests),
-                            None => {
-                                requests[idx].state = RequestState::Failed;
-                                tally.failed += 1;
+            if let Some(outstanding) =
+                self.advance_replica(&mut reps[r], &mut requests, perf, &mut tally)
+            {
+                failovers += 1;
+                let dead_now = reps[r].now;
+                for idx in outstanding {
+                    let req = &mut requests[idx];
+                    let streamed = req.generated > 0;
+                    if req.arrival.value() <= dead_now.value() {
+                        // Dispatched before the death: fail over with a
+                        // prefix replay of the tokens already produced.
+                        migrations += 1;
+                        migrated_tokens += u64::from(fold_into_replay(req));
+                    }
+                    req.state = RequestState::Queued;
+                    // A streaming flight needs a decode-capable
+                    // survivor; an unstreamed one re-prefills.
+                    let survivor = round_robin(&mut rr, n, |t| {
+                        !reps[t].dead
+                            && if streamed {
+                                roles[t].accepts_decode()
+                            } else {
+                                roles[t].accepts_prefill()
                             }
+                    });
+                    match survivor {
+                        Some(t) => insert_by_arrival(&mut reps[t].queue, idx, &requests),
+                        None => {
+                            requests[idx].state = RequestState::Failed;
+                            tally.failed += 1;
                         }
                     }
                 }
-                _ => {
-                    // Phase boundary: a sequence that produced its first
-                    // token on a prefill-only replica hands off now.
-                    if !roles[r].accepts_decode() {
-                        let mut i = 0;
-                        while i < reps[r].running.len() {
-                            let idx = reps[r].running[i];
-                            if requests[idx].generated == 0 {
-                                i += 1;
-                                continue;
-                            }
-                            reps[r].running.swap_remove(i);
-                            let req = &mut requests[idx];
-                            reps[r].alloc.release(req.id);
-                            req.prompt_tokens += req.generated;
-                            req.output_tokens -= req.generated;
-                            req.generated = 0;
-                            req.state = RequestState::Queued;
-                            let target = (0..reps.len())
-                                .map(|_| {
-                                    let t = decode_rr % reps.len();
-                                    decode_rr += 1;
-                                    t
-                                })
-                                .find(|&t| !reps[t].dead && roles[t].accepts_decode());
-                            match target {
-                                Some(t) => {
-                                    disagg_handoffs += 1;
-                                    insert_by_arrival(&mut reps[t].queue, idx, &requests);
-                                }
-                                None => {
-                                    requests[idx].state = RequestState::Failed;
-                                    tally.failed += 1;
-                                }
-                            }
+            } else if !roles[r].accepts_decode() {
+                // Phase boundary: a sequence that produced its first
+                // token on a prefill-only replica hands off now.
+                let mut i = 0;
+                while i < reps[r].running.len() {
+                    let idx = reps[r].running[i];
+                    if requests[idx].generated == 0 {
+                        i += 1;
+                        continue;
+                    }
+                    reps[r].running.swap_remove(i);
+                    let req = &mut requests[idx];
+                    reps[r].alloc.release(req.id);
+                    fold_into_replay(req);
+                    req.state = RequestState::Queued;
+                    let target = round_robin(&mut decode_rr, n, |t| {
+                        !reps[t].dead && roles[t].accepts_decode()
+                    });
+                    match target {
+                        Some(t) => {
+                            disagg_handoffs += 1;
+                            insert_by_arrival(&mut reps[t].queue, idx, &requests);
+                        }
+                        None => {
+                            requests[idx].state = RequestState::Failed;
+                            tally.failed += 1;
                         }
                     }
                 }
@@ -1395,28 +982,8 @@ impl ServingSimulator {
             .map(|rep| rep.now)
             .fold(Seconds::ZERO, |a, b| Seconds(a.value().max(b.value())));
         let decode_steps: u64 = reps.iter().map(|rep| rep.decode_steps).sum();
-        let aggregate = self.report(
-            &requests,
-            makespan,
-            decode_steps,
-            0,
-            tally.occupancy_acc,
-            tally.peak_util,
-            tally.preemptions,
-            tally.rejected,
-            FaultTally {
-                failed: tally.failed,
-                retries: tally.retries,
-                faults_injected: tally.faults_injected,
-            },
-            PrefixTally {
-                hits: tally.prefix_hits,
-                saved_tokens: tally.saved_prefill_tokens,
-            },
-            OverloadTally::default(),
-        );
         ReplicatedReport {
-            aggregate,
+            aggregate: report(&requests, makespan, decode_steps, tally),
             failovers,
             migrations,
             migrated_tokens,
@@ -1425,78 +992,24 @@ impl ServingSimulator {
         }
     }
 
-    /// One iteration of the serving loop for a single replica: activate
-    /// due faults, evict poison victims, admit, then run one decode
-    /// step. The body mirrors [`ServingSimulator::run_with_faults`]
-    /// with replica-local state, except that `first_token_at` is only
-    /// set when absent so a migrated request keeps the TTFT of its
-    /// replayed prefix.
+    /// One iteration of the lazy-append serving loop for a single
+    /// replica: activate due faults, evict poison victims, admit, run
+    /// the prefill charge (or one chunk), then one decode step. Paged
+    /// admission is lazy — only the prompt is charged — and a failed
+    /// append preempts the youngest sequence (vLLM recompute-style).
+    /// `first_token_at` is only set when absent, so a migrated request
+    /// keeps the TTFT of its replayed prefix. Returns the outstanding
+    /// request indices if the replica died to a planned scheduler
+    /// panic.
     fn advance_replica(
         &self,
         rep: &mut Rep,
         requests: &mut [Request],
         perf: &ResolvedScenario,
-        retry: &RetryPolicy,
         tally: &mut PoolTally,
-    ) -> ReplicaEvent {
-        // --- Fault activation (this replica's plan, its own clock) ---
-        while let Some(ev) = rep.plan.events().get(rep.next_event) {
-            if ev.at_step > rep.decode_steps {
-                break;
-            }
-            tally.faults_injected += 1;
-            rep.next_event += 1;
-            match ev.kind {
-                FaultKind::StepStall { extra } => {
-                    rep.now += Seconds(extra.value().max(0.0));
-                }
-                FaultKind::TransientStepError { failures } => {
-                    if failures > retry.max_retries {
-                        for idx in rep.running.drain(..) {
-                            let r = &mut requests[idx];
-                            rep.alloc.release(r.id);
-                            r.state = RequestState::Failed;
-                            tally.failed += 1;
-                        }
-                    } else {
-                        for attempt in 1..=failures {
-                            rep.now += retry.backoff(attempt, rep.plan.seed ^ rep.decode_steps);
-                            tally.retries += 1;
-                        }
-                    }
-                }
-                FaultKind::RequestPoison { request } => rep.poisoned.push(request),
-                FaultKind::MemoryPressure {
-                    capacity_factor,
-                    steps,
-                } => rep.pressure = Some((capacity_factor.clamp(0.01, 1.0), steps.max(1))),
-                FaultKind::SchedulerPanic => {
-                    rep.dead = true;
-                    for &idx in &rep.running {
-                        rep.alloc.release(requests[idx].id);
-                    }
-                    let outstanding: Vec<usize> =
-                        rep.queue.drain(..).chain(rep.running.drain(..)).collect();
-                    return ReplicaEvent::Died(outstanding);
-                }
-            }
-        }
-        // --- Poison eviction ---
-        if !rep.poisoned.is_empty() {
-            let mut i = 0;
-            while i < rep.running.len() {
-                let id = requests[rep.running[i]].id;
-                if let Some(pos) = rep.poisoned.iter().position(|&p| p == id) {
-                    rep.poisoned.swap_remove(pos);
-                    let idx = rep.running.swap_remove(i);
-                    let r = &mut requests[idx];
-                    rep.alloc.release(r.id);
-                    r.state = RequestState::Failed;
-                    tally.failed += 1;
-                } else {
-                    i += 1;
-                }
-            }
+    ) -> Option<Vec<usize>> {
+        if let Some(outstanding) = rep.apply_faults(requests, tally) {
+            return Some(outstanding);
         }
         // --- Admission ---
         let may_admit = match self.config.policy {
@@ -1505,11 +1018,19 @@ impl ServingSimulator {
         };
         let mut newly_admitted: Vec<(usize, u32)> = Vec::new();
         if may_admit {
-            while rep.running.len() + newly_admitted.len() < self.config.max_concurrency as usize {
+            // Pending (still-prefilling) sequences count against the
+            // concurrency cap, exactly like the live scheduler.
+            while rep.running.len() + rep.prefilling.len() + newly_admitted.len()
+                < self.config.max_concurrency as usize
+            {
                 let Some(&idx) = rep.queue.front() else { break };
                 if requests[idx].arrival.value() > rep.now.value() {
                     break;
                 }
+                // Under a memory-pressure window the pool is
+                // temporarily shrunk: hold admissions that would push
+                // utilization past the factor (existing sequences are
+                // unaffected, exactly like the live KvBudget).
                 if let Some((factor, _)) = rep.pressure {
                     if rep.alloc.stats().utilization() >= factor {
                         break;
@@ -1519,9 +1040,13 @@ impl ServingSimulator {
                 if !rep.alloc.can_admit(req.max_context()) {
                     break;
                 }
-                // Prefix-cache model, replica-local: each replica has its
-                // own pool and trie, so residency never crosses replicas —
-                // exactly like the live `ReplicaPool`.
+                // Prefix-cache model (paged pools only, mirroring the
+                // live engine's block trie): the block-aligned shared
+                // prefix lives in the shared ledger, charged once. The
+                // first sharer is cold — it prefills everything and
+                // makes the prefix resident; later sharers skip it.
+                // Each replica has its own pool and trie, so residency
+                // never crosses replicas, like the live `ReplicaPool`.
                 let aligned = match self.config.kv_block_tokens {
                     Some(bt) if req.shared_prefix_tokens > 0 => aligned_prefix(req, bt),
                     _ => 0,
@@ -1542,6 +1067,8 @@ impl ServingSimulator {
                     rep.alloc.release(req.id);
                     break;
                 }
+                // Prefill KV lands immediately on admission; the
+                // shared part is already accounted in the ledger.
                 if rep
                     .alloc
                     .append(req.id, req.prompt_tokens - aligned)
@@ -1558,225 +1085,156 @@ impl ServingSimulator {
                 newly_admitted.push((idx, req.prompt_tokens - cached));
             }
         }
-        if !newly_admitted.is_empty() {
-            let k = newly_admitted.len() as u32;
-            let mean_prompt = (newly_admitted
-                .iter()
-                .map(|&(_, prefill)| u64::from(prefill))
-                .sum::<u64>()
-                / u64::from(k)) as u32;
-            rep.now += perf.prefill_time(k, mean_prompt.max(1));
-            for (idx, _) in newly_admitted {
-                requests[idx].state = RequestState::Decoding;
-                rep.running.push(idx);
-            }
-        }
+        rep.prefill(newly_admitted, requests, perf, self.chunk_budget, tally);
 
         if rep.running.is_empty() {
-            return match rep.queue.front() {
-                Some(&idx) => {
-                    let arr = requests[idx].arrival;
-                    if arr.value() > rep.now.value() {
-                        rep.now = arr;
-                    } else {
-                        // Waiting work an idle pool still cannot hold:
-                        // shed it, like the single-replica loop.
-                        rep.queue.pop_front();
-                        requests[idx].state = RequestState::Rejected;
-                        tally.rejected += 1;
-                    }
-                    ReplicaEvent::Progressed
+            if !rep.prefilling.is_empty() {
+                // A chunk just ran; the clock advanced, so keep
+                // draining the pending queue.
+                return None;
+            }
+            // Idle: jump to the next arrival.
+            if let Some(&idx) = rep.queue.front() {
+                let arr = requests[idx].arrival;
+                if arr.value() > rep.now.value() {
+                    rep.now = arr;
+                } else {
+                    // Nothing fits even though requests wait and the
+                    // pool is idle: this request can never be held. A
+                    // serving system must shed it and keep going, not
+                    // crash (the live runtime in llmib-serve does the
+                    // same).
+                    rep.queue.pop_front();
+                    requests[idx].state = RequestState::Rejected;
+                    tally.rejected += 1;
                 }
-                None => ReplicaEvent::Idle,
-            };
+            }
+            return None;
         }
 
-        // --- One decode step ---
-        let batch = rep.running.len() as u32;
-        let ctx_avg = (rep
-            .running
-            .iter()
-            .map(|&i| u64::from(requests[i].context()))
-            .sum::<u64>()
-            / u64::from(batch)) as u32;
-        rep.now += perf.decode_step_time(batch, ctx_avg);
-        rep.decode_steps += 1;
-        tally.occupancy_acc += f64::from(batch);
-
+        rep.charge_decode_step(requests, perf, tally);
+        // Append one token per running sequence; on pool exhaustion,
+        // preempt the youngest sequence (vLLM recompute-style) and
+        // retry the append for the survivors.
         let mut i = 0;
         while i < rep.running.len() {
             let idx = rep.running[i];
-            let id = requests[idx].id;
-            match rep.alloc.append(id, 1) {
-                Ok(()) => {
-                    let r = &mut requests[idx];
-                    r.generated += 1;
-                    if r.first_token_at.is_none() {
-                        r.first_token_at = Some(rep.now);
-                    }
-                    i += 1;
+            if rep.alloc.append(requests[idx].id, 1).is_ok() {
+                let r = &mut requests[idx];
+                r.generated += 1;
+                if r.first_token_at.is_none() {
+                    r.first_token_at = Some(rep.now);
                 }
-                Err(_) => {
-                    let victim_pos = rep.running.len() - 1;
-                    let victim_idx = rep.running.swap_remove(victim_pos);
-                    let v = &mut requests[victim_idx];
-                    rep.alloc.release(v.id);
-                    if rep.running.is_empty() && victim_idx == idx {
-                        v.state = RequestState::Rejected;
-                        tally.rejected += 1;
-                        continue;
-                    }
-                    v.state = RequestState::Queued;
-                    v.generated = 0;
-                    v.first_token_at = None;
-                    rep.queue.push_front(victim_idx);
-                    tally.preemptions += 1;
-                    if victim_idx == idx {
-                        continue;
-                    }
-                }
+                i += 1;
+                continue;
             }
+            // Evict the most recently admitted sequence.
+            let victim_idx = rep.running.pop().expect("the failed sequence is running");
+            let v = &mut requests[victim_idx];
+            rep.alloc.release(v.id);
+            if rep.running.is_empty() && victim_idx == idx {
+                // It had the whole pool to itself and still ran out:
+                // it can never finish. Requeueing would preempt-loop
+                // forever; shed it.
+                v.state = RequestState::Rejected;
+                tally.rejected += 1;
+                continue;
+            }
+            v.state = RequestState::Queued;
+            v.generated = 0;
+            v.first_token_at = None;
+            rep.queue.push_front(victim_idx);
+            tally.preemptions += 1;
         }
-
-        tally.peak_util = tally.peak_util.max(rep.alloc.stats().utilization());
-
-        // --- Completions ---
-        let alloc = &mut rep.alloc;
-        let completed = &mut rep.completed;
-        let now = rep.now;
-        rep.running.retain(|&idx| {
-            let r = &mut requests[idx];
-            if r.generated >= r.output_tokens {
-                r.state = RequestState::Finished;
-                r.finished_at = Some(now);
-                alloc.release(r.id);
-                *completed += 1;
-                false
-            } else {
-                true
-            }
-        });
-        ReplicaEvent::Progressed
+        rep.finish_step(requests, tally);
+        None
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn report(
-        &self,
-        requests: &[Request],
-        makespan: Seconds,
-        decode_steps: u64,
-        prefill_chunks: u64,
-        occupancy_acc: f64,
-        peak_kv_utilization: f64,
-        preemptions: u32,
-        rejected: u32,
-        faults: FaultTally,
-        prefix: PrefixTally,
-        overload: OverloadTally,
-    ) -> ServingReport {
-        let finished: Vec<&Request> = requests
-            .iter()
-            .filter(|r| r.state == RequestState::Finished)
-            .collect();
-        let completed = finished.len() as u32;
-        let mut per_class = overload.per_class;
-        for r in &finished {
-            per_class.completed[r.priority.index()] += 1;
-        }
-        let total_tokens: u64 = finished
-            .iter()
-            .map(|r| u64::from(r.prompt_tokens) + u64::from(r.output_tokens))
-            .sum();
-        let latencies: Vec<f64> = finished
-            .iter()
-            .filter_map(|r| r.latency().map(|s| s.value()))
-            .collect();
-        let p95 = stats::p95(&latencies);
-        let mean = stats::mean;
-        let ttfts: Vec<f64> = finished
-            .iter()
-            .filter_map(|r| r.ttft().map(|s| s.value()))
-            .collect();
-        let itls: Vec<f64> = finished
-            .iter()
-            .filter_map(|r| {
-                let lat = r.latency()?.value();
-                let ttft = r.ttft()?.value();
-                (r.output_tokens > 1).then(|| (lat - ttft) / f64::from(r.output_tokens - 1))
-            })
-            .collect();
-        let itl = ItlSummary::from_observations(finished.iter().map(|r| {
+/// Fold a run's requests and tallies into its report. `makespan` is
+/// the (latest) replica clock; `decode_steps` sums every replica's.
+fn report(
+    requests: &[Request],
+    makespan: Seconds,
+    decode_steps: u64,
+    tally: PoolTally,
+) -> ServingReport {
+    let finished: Vec<&Request> = requests
+        .iter()
+        .filter(|r| r.state == RequestState::Finished)
+        .collect();
+    let completed = finished.len() as u32;
+    let mut per_class = tally.per_class;
+    for r in &finished {
+        per_class.completed[r.priority.index()] += 1;
+    }
+    let total_tokens: u64 = finished
+        .iter()
+        .map(|r| u64::from(r.prompt_tokens) + u64::from(r.output_tokens))
+        .sum();
+    let latencies: Vec<f64> = finished
+        .iter()
+        .filter_map(|r| r.latency().map(|s| s.value()))
+        .collect();
+    let mean = stats::mean;
+    let ttfts: Vec<f64> = finished
+        .iter()
+        .filter_map(|r| r.ttft().map(|s| s.value()))
+        .collect();
+    // Each finished request's Eq. 1 ITL observation (none for a
+    // single-token output).
+    let itl_obs: Vec<(Priority, Option<f64>)> = finished
+        .iter()
+        .map(|r| {
             let obs = (|| {
                 let lat = r.latency()?.value();
                 let ttft = r.ttft()?.value();
-                (r.output_tokens > 1)
-                    .then(|| Seconds((lat - ttft) / f64::from(r.output_tokens - 1)))
+                (r.output_tokens > 1).then(|| (lat - ttft) / f64::from(r.output_tokens - 1))
             })();
             (r.priority, obs)
-        }));
-        ServingReport {
-            completed,
-            makespan,
-            throughput_tokens_per_s: if makespan.value() > 0.0 {
-                total_tokens as f64 / makespan.value()
-            } else {
-                0.0
-            },
-            mean_ttft: Seconds(mean(&ttfts)),
-            p95_latency: Seconds(p95),
-            mean_itl: Seconds(mean(&itls)),
-            itl,
-            mean_batch_occupancy: if decode_steps > 0 {
-                occupancy_acc / decode_steps as f64
-            } else {
-                0.0
-            },
-            peak_kv_utilization,
-            preemptions,
-            rejected,
-            decode_steps,
-            prefill_chunks,
-            failed: faults.failed,
-            retries: faults.retries,
-            faults_injected: faults.faults_injected,
-            prefix_hits: prefix.hits,
-            saved_prefill_tokens: prefix.saved_tokens,
-            replayed_tokens: overload.replayed_tokens,
-            brownout_steps: overload.brownout_steps,
-            brownout_sheds: overload.brownout_sheds,
-            per_class,
-            per_request: {
-                let mut samples: Vec<LatencySample> =
-                    finished.iter().filter_map(|r| r.latency_sample()).collect();
-                samples.sort_by_key(|s| s.id);
-                samples
-            },
-        }
+        })
+        .collect();
+    let itls: Vec<f64> = itl_obs.iter().filter_map(|&(_, obs)| obs).collect();
+    let mut per_request: Vec<LatencySample> =
+        finished.iter().filter_map(|r| r.latency_sample()).collect();
+    per_request.sort_by_key(|s| s.id);
+    ServingReport {
+        completed,
+        makespan,
+        throughput_tokens_per_s: if makespan.value() > 0.0 {
+            total_tokens as f64 / makespan.value()
+        } else {
+            0.0
+        },
+        mean_ttft: Seconds(mean(&ttfts)),
+        p95_latency: Seconds(stats::p95(&latencies)),
+        mean_itl: Seconds(mean(&itls)),
+        itl: ItlSummary::from_observations(
+            itl_obs
+                .iter()
+                .map(|&(priority, obs)| (priority, obs.map(Seconds))),
+        ),
+        mean_batch_occupancy: if decode_steps > 0 {
+            tally.occupancy_acc / decode_steps as f64
+        } else {
+            0.0
+        },
+        peak_kv_utilization: tally.peak_util,
+        preemptions: tally.preemptions,
+        rejected: tally.rejected,
+        decode_steps,
+        prefill_chunks: tally.prefill_chunks,
+        failed: tally.failed,
+        retries: tally.retries,
+        faults_injected: tally.faults_injected,
+        prefix_hits: tally.prefix_hits,
+        saved_prefill_tokens: tally.saved_prefill_tokens,
+        replayed_tokens: tally.replayed_tokens,
+        brownout_steps: tally.brownout_steps,
+        brownout_sheds: tally.brownout_sheds,
+        per_class,
+        per_request,
     }
-}
-
-/// Fault counters threaded from the serving loop into the report.
-struct FaultTally {
-    failed: u32,
-    retries: u32,
-    faults_injected: u32,
-}
-
-/// Prefix-cache counters threaded from the serving loop into the report.
-struct PrefixTally {
-    hits: u32,
-    saved_tokens: u64,
-}
-
-/// Overload-machinery counters threaded from the serving loop into the
-/// report (all zero outside overload mode; `per_class.completed` is
-/// filled by the report builder for every run).
-#[derive(Default)]
-struct OverloadTally {
-    replayed_tokens: u64,
-    brownout_steps: u64,
-    brownout_sheds: u32,
-    per_class: ClassCounters,
 }
 
 #[cfg(test)]
@@ -2204,13 +1662,17 @@ mod tests {
         let reqs = ArrivalPattern::Burst.generate(6, 128, 16);
         let cfg = config(BatchingPolicy::Continuous, 1 << 20, Some(16));
         let mono = ServingSimulator::new(cfg.clone()).run(reqs.clone(), &perf(8));
-        let chunked = ServingSimulator::new(cfg)
-            .with_prefill_chunking(48)
-            .run(reqs, &perf(8));
+        let chunked_sim = ServingSimulator::new(cfg).with_prefill_chunking(48);
+        let chunked = chunked_sim.run(reqs.clone(), &perf(8));
         assert_eq!(mono.prefill_chunks, 0);
         assert_eq!(chunked.prefill_chunks, 6 * 3);
         assert_eq!(chunked.completed, 6, "chunking never loses a request");
         assert_eq!(chunked.completed, mono.completed);
+        // A pool chunks the same admissions: each replica drains its
+        // own share's chunks, so the pool total is unchanged.
+        let pool = chunked_sim.run_replicated(reqs, &perf(8), 2, &ReplicaFaultPlan::empty());
+        assert_eq!(pool.aggregate.prefill_chunks, 6 * 3);
+        assert_eq!(pool.aggregate.completed, 6);
         // Prefix hits shrink the cold prefill, and the chunk count
         // follows: 48 cached of 128 leaves ceil(80/48) = 2 chunks for
         // every warm sharer (the first sharer is cold: 3).
@@ -2305,6 +1767,15 @@ mod tests {
             rep.per_replica_completed[1], 0,
             "prefill replicas finish none"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "overload mode is single-replica only")]
+    fn overload_mode_rejects_replica_pools() {
+        let sim = ServingSimulator::new(config(BatchingPolicy::Continuous, 1 << 20, Some(16)))
+            .with_overload(OverloadConfig::default());
+        let reqs = ArrivalPattern::Burst.generate(4, 128, 8);
+        sim.run_replicated(reqs, &perf(4), 2, &ReplicaFaultPlan::empty());
     }
 
     #[test]
