@@ -339,7 +339,9 @@ impl Rep {
     }
 
     /// Charge one decode step over the running batch, priced at the
-    /// batch's mean context.
+    /// batch's mean context, and count down a memory-pressure window:
+    /// it expires after `steps` decode steps, exactly like the live
+    /// injector's.
     fn charge_decode_step(
         &mut self,
         requests: &[Request],
@@ -356,6 +358,9 @@ impl Rep {
         self.now += perf.decode_step_time(batch, ctx_avg);
         self.decode_steps += 1;
         tally.occupancy_acc += f64::from(batch);
+        if let Some((factor, steps)) = self.pressure {
+            self.pressure = (steps > 1).then_some((factor, steps - 1));
+        }
     }
 
     /// Close a decode step: sample the pool's utilization, then retire
@@ -1496,6 +1501,28 @@ mod tests {
             faulted.mean_batch_occupancy,
             healthy.mean_batch_occupancy
         );
+    }
+
+    #[test]
+    fn memory_pressure_window_expires_after_its_steps() {
+        use llmib_types::{FaultEvent, FaultPlan};
+        // A 0.1 factor of a 4096-token pool holds half the burst back;
+        // the one-step window then expires, like the live injector's,
+        // and the rest is admitted one step late.
+        let reqs = ArrivalPattern::Burst.generate(8, 128, 32);
+        let sim = ServingSimulator::new(config(BatchingPolicy::Continuous, 4096, Some(16)));
+        let healthy = sim.run(reqs.clone(), &perf(8));
+        let plan = FaultPlan::new(vec![FaultEvent {
+            at_step: 0,
+            kind: FaultKind::MemoryPressure {
+                capacity_factor: 0.1,
+                steps: 1,
+            },
+        }]);
+        let faulted = sim.run_with_faults(reqs, &perf(8), &plan);
+        assert_eq!(healthy.decode_steps, 32);
+        assert_eq!(faulted.completed, 8);
+        assert_eq!(faulted.decode_steps, 33, "the window lasts one step");
     }
 
     #[test]
